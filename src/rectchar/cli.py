@@ -347,11 +347,13 @@ def _cmd_verify(args) -> int:
     for name in selected:
         cases.extend(_SUITE_BUILDERS[name](args))
 
-    def run(case) -> bool:
+    def run(case) -> str | None:
+        # None for a pass, else what follows the case name on its FAIL line
         try:
-            return bool(case[1]())
-        except Exception:
-            return False
+            passed = case[1]()
+        except Exception as exc:
+            return f": {type(exc).__name__}: {exc}"
+        return None if passed else ""
 
     if args.threads > 1:
         with ThreadPoolExecutor(max_workers=args.threads) as pool:
@@ -359,9 +361,12 @@ def _cmd_verify(args) -> int:
     else:
         outcomes = [run(case) for case in cases]
     failures = 0
-    for (name, _), ok in zip(cases, outcomes):
-        print(f"{'PASS' if ok else 'FAIL'} {name}")
-        failures += not ok
+    for (name, _), why in zip(cases, outcomes):
+        if why is None:
+            print(f"PASS {name}")
+        else:
+            print(f"FAIL {name}{why}")
+            failures += 1
     print(f"verify: {len(cases) - failures} passed, {failures} failed")
     return 1 if failures else 0
 

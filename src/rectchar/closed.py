@@ -12,12 +12,14 @@ prefactor times a short structured sum times a run of linear factors in n:
   even cycle 2j,  q - p odd    ->  binomial prefactor and family J
 
 Each family member is a polynomial in j and n with integer coefficients,
-exposed symbolically by corollary_poly and numerically through
-ch_rect_fast, which runs in time polynomial in log n once the cycle length
-and q - p are fixed.  closed_char_ed carries the same four sums in the
-(e, d) coordinates without splitting off the linear run, which is the form
-that matches Stanley's polynomial after the substitution P = E - D,
-Q = E + D.
+exposed symbolically by corollary_poly.  closed_char_ed carries the same
+four sums in the (e, d) coordinates without splitting off the linear run,
+which is the form that matches Stanley's polynomial after the substitution
+P = E - D, Q = E + D; it works in Fraction arithmetic and serves as the
+reference.  ch_rect_fast evaluates that sum for all four cases at once in
+the integers S = 2 e and D = 2 d: O(k) integer multiplications on numbers
+of O(k log n) digits for a k-cycle, whatever |q - p| is, and one checked
+exact division at the end.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, prod
 
 from ._poly import JNPoly
 from .exact import (
@@ -33,7 +35,6 @@ from .exact import (
     catalan,
     double_factorial,
     double_rising_factorial,
-    extended_product,
     falling_factorial,
 )
 from .stanley import stanley_poly, substitute_ed
@@ -183,61 +184,6 @@ def closed_char_ed(k_cycle: int, e, d, diff_parity: str = "even"):
     return pref * 2 * _as_fraction(d) * total
 
 
-def _g_value(abs_d: int, j: int, n) -> Fraction:
-    total = Fraction(0)
-    for k in range(min(j, abs_d) + 1):
-        term = coeff_f(j, k)
-        for r in range(k):
-            term *= abs_d * abs_d - r * r
-        for r in range(k, abs_d):
-            term *= n + abs_d * abs_d - r * r
-        total += term
-    return total
-
-
-def _h_value(abs2d: int, j: int, n) -> Fraction:
-    d2 = Fraction(abs2d * abs2d, 4)
-    m = (abs2d - 1) // 2
-    total = Fraction(0)
-    for k in range(min(j, m) + 1):
-        term = coeff_f(j, k)
-        for r in range(k):
-            term *= d2 - Fraction((2 * r + 1) ** 2, 4)
-        for r in range(k, m):
-            term *= n + d2 - Fraction((2 * r + 1) ** 2, 4)
-        total += term
-    return total
-
-
-def _i_value(d: int, j: int, n) -> Fraction:
-    if d == 0:
-        return Fraction(0)
-    ad = abs(d)
-    total = Fraction(0)
-    for k in range(min(j, ad - 1) + 1):
-        term = coeff_g(j, k)
-        for r in range(1, k + 1):
-            term *= ad * ad - r * r
-        for r in range(k + 1, ad):
-            term *= n + ad * ad - r * r
-        total += term
-    return d * total
-
-
-def _j_value(two_d: int, j: int, n) -> Fraction:
-    d2 = Fraction(two_d * two_d, 4)
-    m = (abs(two_d) - 1) // 2
-    total = Fraction(0)
-    for k in range(min(j, m) + 1):
-        term = coeff_g(j, k)
-        for r in range(1, k + 1):
-            term *= d2 - Fraction((2 * r - 1) ** 2, 4)
-        for r in range(k + 1, m + 1):
-            term *= n + d2 - Fraction((2 * r - 1) ** 2, 4)
-        total += term
-    return two_d * total
-
-
 _J = JNPoly({(1, 0): 1})
 _N = JNPoly({(0, 1): 1})
 
@@ -347,8 +293,10 @@ def corollary_poly(two_d: int, cycle_parity: str) -> JNPoly:
 def ch_rect_fast(k_cycle: int, p: int, q: int) -> int:
     """Normalized character of the p x q rectangle on a k_cycle-cycle.
 
-    Evaluates the closed product formula; the cost is governed by the
-    cycle length and by |q - p|, never by n = p q itself.
+    Evaluates the closed formula in the integer coordinates S = p + q and
+    D = q - p: O(k_cycle) integer multiplications on numbers of
+    O(k_cycle log n) digits, whatever |q - p| is, and one checked exact
+    division at the end.
 
     >>> ch_rect_fast(3, 2, 2)
     -12
@@ -357,38 +305,52 @@ def ch_rect_fast(k_cycle: int, p: int, q: int) -> int:
     >>> ch_rect_fast(1, 1, 5)
     5
     """
+    for label, value in (("cycle length", k_cycle), ("p", p), ("q", q)):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise TypeError(
+                f"{label} must be an int, got {type(value).__name__}")
     if k_cycle < 1:
         raise ValueError("cycle length must be positive")
     if p < 1 or q < 1:
         raise ValueError("rectangle sides must be positive")
-    n = p * q
-    two_d = q - p
-    abs2d = abs(two_d)
-    if k_cycle % 2:
-        j = (k_cycle + 1) // 2
-        pref = (-1 if j % 2 == 0 else 1) * catalan(j - 1)
-        if two_d % 2 == 0:
-            fam = _g_value(abs2d // 2, j, n)
-            upper = j - abs2d // 2 - 1
-        else:
-            fam = _h_value(abs2d, j, n)
-            upper = j - (abs2d + 1) // 2
+    s2 = (p + q) ** 2
+    dd = q - p
+    d2 = dd * dd
+    odd_diff = dd % 2
+    # Four times each (e, d) factor of closed_char_ed: the shifts r or
+    # r +- 1/2 become the offsets t of the parity of D, so D^2 - t^2 first
+    # vanishes at t = |D| and cuts the sum short.
+    # c_k below is (-1)^k C(j, k) times the odd numbers from 2k + 1 + h to
+    # 2j + 2k - 3 + h: the family coefficient times its common
+    # denominator c_0 = (2j - 3 + h)!!, with h = 2 for even cycles.
+    j = (k_cycle + 1) // 2
+    sign = -1 if j % 2 == 0 else 1
+    if k_cycle % 2 == 0:
+        h = 2
+        offsets = [2 * r - odd_diff for r in range(1, j + 1)]
+        pref, pref_den = sign * comb(2 * j - 1, j) * dd, 1
     else:
-        j = k_cycle // 2
-        if two_d % 2 == 0:
-            pref = (-1 if j % 2 == 0 else 1) * comb(2 * j, j)
-            fam = _i_value(two_d // 2, j, n)
-            upper = j - abs2d // 2
-        else:
-            pref = (-1 if j % 2 == 0 else 1) * comb(2 * j - 1, j)
-            fam = _j_value(two_d, j, n)
-            upper = j - (abs2d + 1) // 2
-    prod = extended_product(lambda r: n - r * (r + abs2d), upper)
-    total = pref * fam * prod
-    frac = Fraction(total)
-    if frac.denominator != 1:
-        raise ArithmeticError(f"non-integer character value {frac}")
-    return int(frac)
+        h = 0
+        offsets = [2 * r + odd_diff for r in range(j)]
+        pref, pref_den = sign * comb(2 * j - 2, j - 1), j
+    c0 = prod(range(1 + h, 2 * j - 2 + h, 2))
+    suffix = [1] * (j + 1)
+    for r in range(j - 1, -1, -1):
+        suffix[r] = suffix[r + 1] * (s2 - offsets[r] * offsets[r])
+    total, coeff, prefix = 0, c0, 1
+    for k in range(j + 1):
+        total += coeff * prefix * suffix[k]
+        if k < j:
+            prefix *= d2 - offsets[k] * offsets[k]
+            if prefix == 0:
+                break
+            coeff = (-coeff * (j - k) * (2 * j + 2 * k - 1 + h)
+                     // ((k + 1) * (2 * k + 1 + h)))
+    num, den = pref * total, 4 ** j * c0 * pref_den
+    value, rem = divmod(num, den)
+    if rem:
+        raise ArithmeticError(f"non-integer character value {num}/{den}")
+    return value
 
 
 def minus_one_row_char(k: int, q):

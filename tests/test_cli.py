@@ -157,6 +157,21 @@ def test_verify_reports_failures(capsys, monkeypatch):
     assert out.splitlines()[-1] == "verify: 2 passed, 1 failed"
 
 
+def test_verify_names_the_exception_of_a_raising_case(capsys, monkeypatch):
+    def check(k):
+        if k == 2:
+            raise ValueError("no table for k=2")
+        return True
+
+    monkeypatch.setattr("rectchar.cli.jm_factorization_check", check)
+    code, out, _ = run(capsys, "verify", "--suite", "jm", "--k-max", "3")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[1] == "FAIL jm factorization k=2: ValueError: no table for k=2"
+    assert lines[0] == "PASS jm factorization k=1"
+    assert lines[-1] == "verify: 2 passed, 1 failed"
+
+
 def test_bench_orders_rows_and_agrees(capsys):
     code, out, _ = run(capsys, "bench", "--k", "3,1", "--p", "2", "--q", "3")
     assert code == 0

@@ -1,7 +1,8 @@
 """Tests for the closed product formulas and the family polynomials."""
 
+import time
 from fractions import Fraction
-from math import comb
+from math import comb, perm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -134,6 +135,62 @@ def test_ch_rect_fast_examples():
         ch_rect_fast(0, 2, 2)
     with pytest.raises(ValueError):
         ch_rect_fast(2, 0, 2)
+    with pytest.raises(ValueError):
+        ch_rect_fast(2, 3, -1)
+
+
+@pytest.mark.parametrize("args", [
+    (3, Fraction(5, 2), 2),
+    (3, 2, Fraction(4, 1)),
+    (Fraction(3), 2, 2),
+    (3.0, 2, 2),
+    (3, 2, 2.0),
+    (True, 2, 2),
+    (3, True, 2),
+    (3, 2, False),
+    ("3", 2, 2),
+])
+def test_ch_rect_fast_rejects_non_int_arguments(args):
+    with pytest.raises(TypeError):
+        ch_rect_fast(*args)
+
+
+_SIDES = (1, 2, 5, 9, 97, 98, 99, 100, 1000, 30000, 10**6 + 3, 10**12)
+
+
+@pytest.mark.parametrize("k", [1, 2, 9, 98, 99])
+def test_ch_rect_fast_one_row_and_one_column_are_falling_factorials(k):
+    for side in _SIDES:
+        assert ch_rect_fast(k, 1, side) == perm(side, k), (k, side)
+        assert ch_rect_fast(k, side, 1) == (-1) ** (k - 1) * perm(side, k), (
+            k, side)
+
+
+def test_ch_rect_fast_far_from_square_is_fast():
+    started = time.perf_counter()
+    value = ch_rect_fast(99, 3, 30000)
+    elapsed = time.perf_counter() - started
+    assert value == closed_char_ed(99, Fraction(30003, 2),
+                                   Fraction(29997, 2), "odd")
+    assert elapsed < 1.0
+
+
+@st.composite
+def _cycle_and_rectangle(draw):
+    k = draw(st.integers(min_value=1, max_value=99))
+    p = draw(st.integers(min_value=1, max_value=10**12))
+    q = draw(st.integers(min_value=max(1, p - 5000), max_value=p + 5000))
+    return k, p, q
+
+
+@given(_cycle_and_rectangle())
+@settings(max_examples=40, deadline=None)
+def test_ch_rect_fast_matches_ed_sum(case):
+    k, p, q = case
+    two_d = q - p
+    want = closed_char_ed(k, Fraction(p + q, 2), Fraction(two_d, 2),
+                          "odd" if two_d % 2 else "even")
+    assert ch_rect_fast(k, p, q) == want
 
 
 def test_ch_rect_fast_matches_oracle():
