@@ -30,8 +30,6 @@ from .exact import (
     extended_product,
     falling_factorial,
 )
-from .kernel import BACKEND as KERNEL_BACKEND
-from .kernel import factorization_histogram
 from .mn import (
     OutOfRange,
     SizeMismatch,
@@ -54,13 +52,10 @@ from .stanley import (
 from .young import (
     Partition,
     RimHook,
-    StrictPartition,
     dim_f,
-    double_strict,
     partitions,
     rectangle,
     rim_hooks_of_length,
-    staircase,
     transpose,
 )
 
@@ -74,7 +69,6 @@ __all__ = [
     "HalfInt",
     "Int",
     "JNPoly",
-    "KERNEL_BACKEND",
     "OutOfRange",
     "ParityCase",
     "Partition",
@@ -83,7 +77,6 @@ __all__ = [
     "RimHook",
     "Scalar",
     "SizeMismatch",
-    "StrictPartition",
     "ZeroFactorInReciprocalRange",
     "catalan",
     "ch_rect_fast",
@@ -97,9 +90,7 @@ __all__ = [
     "dim_f",
     "double_factorial",
     "double_rising_factorial",
-    "double_strict",
     "extended_product",
-    "factorization_histogram",
     "falling_factorial",
     "integrality_witness",
     "jm_factorization_check",
@@ -111,7 +102,6 @@ __all__ = [
     "partitions",
     "rectangle",
     "rim_hooks_of_length",
-    "staircase",
     "stanley_eval",
     "stanley_poly",
     "substitute_ed",

@@ -3,10 +3,20 @@
 For a cycle type pi of k, fix any permutation w of that type.  Summing
 (-q)^cycles(s1) * p^cycles(s2) over all factorizations s1 s2 = w and
 applying k sign flips gives the normalized character of the p x q
-rectangle at pi.  Only s1 is enumerated (s2 = s1^{-1} w), and the whole
-formula depends on nothing but the joint table of cycle counts, which the
-kernel collects once per cycle type and which then feeds numeric values
-and the exact polynomial alike.
+rectangle at pi.  The whole formula depends on nothing but the joint table
+of cycle counts, built once per cycle type, which then feeds numeric
+values and the exact polynomial alike.
+
+The table comes from the Jucys-Murphy content identity (Jucys 1974;
+Murphy 1981), not from the k! factorizations:
+
+    sum_{s1 s2 = w} x^c(s1) y^c(s2)
+        = (1/k!) sum_{lam |- k} f^lam chi^lam(w)
+                 prod_{b in lam} (x + c(b)) (y + c(b)),
+
+with c(b) the content of a box.  That is one Murnaghan-Nakayama character
+and one content product per partition of k, then one exact division by
+k!, with no k! term in the cost.
 
 The module also carries the change of variables to (D, E) coordinates,
 the expansion in the even basis prod (D^2 - r^2), and the Jucys-Murphy
@@ -17,11 +27,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, factorial
 
 from ._poly import BiPoly, DEPoly
-from .kernel import factorization_histogram
-from .young import Partition
+from .mn import character_mn
+from .young import Partition, dim_f, partitions
 
 __all__ = [
     "Perm",
@@ -195,22 +205,56 @@ def cycle_type_representative(pi) -> Perm:
     return Perm(images)
 
 
+def _content_product(parts: tuple[int, ...]) -> list[int]:
+    """Coefficients of prod over the boxes of the shape of (x + content).
+
+    Entry a multiplies x^a; the content of the box in row i, column j
+    (from 0) is j - i.
+    """
+    coeffs = [1]
+    for i, row in enumerate(parts):
+        for j in range(row):
+            content = j - i
+            coeffs.append(0)
+            for a in range(len(coeffs) - 1, 0, -1):
+                coeffs[a] = coeffs[a - 1] + content * coeffs[a]
+            coeffs[0] *= content
+    return coeffs
+
+
 @lru_cache(maxsize=None)
 def _joint_cycle_table(parts: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    w: list[int] = []
-    start = 0
-    for part in parts:
-        w.extend(range(start + 1, start + part))
-        w.append(start)
-        start += part
-    return tuple(tuple(row) for row in factorization_histogram(w))
+    """Entry (c1, c2) counts the factorizations s1 s2 = w of a permutation
+    w of cycle type parts with c1 cycles in s1 and c2 in s2.
+
+    Built from the content identity in the module docstring, in integers,
+    with one checked exact division by k! at the end.
+    """
+    k = sum(parts)
+    acc = [[0] * (k + 1) for _ in range(k + 1)]
+    for lam in partitions(k):
+        weight = dim_f(lam) * character_mn(lam, parts)
+        if not weight:
+            continue
+        coeffs = _content_product(lam.parts)
+        for a, ca in enumerate(coeffs):
+            if ca:
+                scaled, row = weight * ca, acc[a]
+                for b, cb in enumerate(coeffs):
+                    row[b] += scaled * cb
+    order = factorial(k)
+    if any(entry % order for row in acc for entry in row):
+        raise ArithmeticError(
+            f"content sum for {parts} is not divisible by {k}!")
+    return tuple(tuple(entry // order for entry in row) for row in acc)
 
 
 def stanley_eval(pi, p, q):
     """Normalized character of the p x q rectangle at the cycle type pi.
 
-    p and q may be any exact numbers, not only positive integers; the value
-    is the character polynomial evaluated there.
+    p and q may be any rationals, not only positive integers; the value
+    is the character polynomial evaluated there, an int when p and q are
+    ints and a Fraction otherwise.
 
     >>> stanley_eval(Partition((2,)), 2, 3)
     6
@@ -219,13 +263,25 @@ def stanley_eval(pi, p, q):
     if pi.size == 0:
         raise ValueError("cycle type must be non-empty")
     table = _joint_cycle_table(pi.parts)
-    sign = -1 if pi.size % 2 else 1
+    k = pi.size
+    sign = -1 if k % 2 else 1
+    # With p = a/b and q = c/d, every term count (-q)^c1 p^c2 is an integer
+    # over (b d)^k, so the sum runs in integers and divides once.
+    p_frac, q_frac = Fraction(p), Fraction(q)
+    a, b = p_frac.numerator, p_frac.denominator
+    c, d = -q_frac.numerator, q_frac.denominator
+    p_terms = [a ** i * b ** (k - i) for i in range(k + 1)]
     total = 0
     for c1, row in enumerate(table):
+        inner = 0
         for c2, count in enumerate(row):
             if count:
-                total += count * (-q) ** c1 * p ** c2
-    return sign * total
+                inner += count * p_terms[c2]
+        if inner:
+            total += inner * c ** c1 * d ** (k - c1)
+    if isinstance(p, int) and isinstance(q, int):
+        return sign * total
+    return Fraction(sign * total, (b * d) ** k)
 
 
 def stanley_poly(pi) -> BiPoly:

@@ -1,4 +1,4 @@
-"""Partitions, rectangles, rim hooks, and strict-partition doubling.
+"""Partitions, rectangles, transposes, dimensions and rim hooks.
 
 Partitions are immutable, hashable, and validated on construction; all
 functions accept either a Partition or any iterable of parts.
@@ -13,14 +13,11 @@ from typing import Iterable, Iterator
 
 __all__ = [
     "Partition",
-    "StrictPartition",
     "RimHook",
     "rectangle",
     "transpose",
     "dim_f",
     "rim_hooks_of_length",
-    "staircase",
-    "double_strict",
     "partitions",
 ]
 
@@ -80,58 +77,6 @@ class Partition:
 
     def __repr__(self) -> str:
         return f"Partition({list(self.parts)!r})"
-
-    def __str__(self) -> str:
-        return "[" + ",".join(str(x) for x in self.parts) + "]"
-
-
-class StrictPartition:
-    """A strictly decreasing tuple of positive parts.
-
-    >>> StrictPartition((3, 1)).size
-    4
-    """
-
-    __slots__ = ("parts",)
-
-    def __init__(self, parts: "Iterable[int] | StrictPartition" = ()) -> None:
-        if isinstance(parts, StrictPartition):
-            self.parts = parts.parts
-            return
-        pt = tuple(int(x) for x in parts)
-        previous = None
-        for x in pt:
-            if x <= 0:
-                raise ValueError(f"parts must be positive, got {pt}")
-            if previous is not None and x >= previous:
-                raise ValueError(f"parts must be strictly decreasing, got {pt}")
-            previous = x
-        self.parts = pt
-
-    @property
-    def size(self) -> int:
-        return sum(self.parts)
-
-    @property
-    def length(self) -> int:
-        return len(self.parts)
-
-    def __len__(self) -> int:
-        return len(self.parts)
-
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, StrictPartition):
-            return self.parts == other.parts
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(("strict", self.parts))
-
-    def __repr__(self) -> str:
-        return f"StrictPartition({list(self.parts)!r})"
 
     def __str__(self) -> str:
         return "[" + ",".join(str(x) for x in self.parts) + "]"
@@ -232,34 +177,6 @@ def rim_hooks_of_length(shape, k: int) -> list[RimHook]:
             found.append((lam[s], s, RimHook(remainder, t - s)))
     found.sort(key=lambda item: (-item[0], -item[1]))
     return [hook for _, _, hook in found]
-
-
-def staircase(p: int) -> StrictPartition:
-    """The staircase (p, p-1, ..., 1)."""
-    if p < 0:
-        raise ValueError("p must be non-negative")
-    return StrictPartition(range(p, 0, -1))
-
-
-def double_strict(xi) -> Partition:
-    """The doubled diagram of a strict partition.
-
-    The result has diagonal hooks with arm lengths xi_i and leg lengths
-    xi_i - 1, so its size is exactly twice the size of xi.
-
-    >>> double_strict(StrictPartition((2, 1)))
-    Partition([3, 3])
-    """
-    if not isinstance(xi, StrictPartition):
-        xi = StrictPartition(xi)
-    arms = xi.parts
-    ell = len(arms)
-    lam = [arms[i] + i + 1 for i in range(ell)]
-    col_heights = [arms[j] + j for j in range(ell)]
-    tallest = col_heights[0] if col_heights else 0
-    for i in range(ell + 1, tallest + 1):
-        lam.append(sum(1 for h in col_heights if h >= i))
-    return Partition(lam)
 
 
 def partitions(n: int, max_part: "int | None" = None) -> Iterator[Partition]:

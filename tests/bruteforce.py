@@ -2,13 +2,15 @@
 
 Everything here is deliberately naive: standard tableaux are counted by
 corner removal, border strips by filtering all sub-partitions, Stirling
-numbers by the textbook recurrence.  The point is that none of it shares
+numbers by the textbook recurrence, factorizations of a permutation by
+trying all k! of them.  The point is that none of it shares
 code or ideas with the library implementations it checks.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import permutations
 
 
 @lru_cache(maxsize=None)
@@ -91,3 +93,34 @@ def stirling_first_unsigned(n: int) -> list[int]:
             nxt[k + 1] += c
         row = nxt
     return row
+
+
+def _cycle_count(images) -> int:
+    seen = [False] * len(images)
+    count = 0
+    for i in range(len(images)):
+        if not seen[i]:
+            count += 1
+            j = i
+            while not seen[j]:
+                seen[j] = True
+                j = images[j]
+    return count
+
+
+def factorization_table(w) -> list[list[int]]:
+    """Joint cycle-count table of all factorizations s1 s2 = w, by brute force.
+
+    w is a permutation of 0..k-1 in one-line form; entry (c1, c2) counts the
+    s1 with c1 cycles whose cofactor s2 = s1^{-1} w has c2 cycles.
+    """
+    k = len(w)
+    table = [[0] * (k + 1) for _ in range(k + 1)]
+    inverse = [0] * k
+    for i, x in enumerate(w):
+        inverse[x] = i
+    for s1 in permutations(range(k)):
+        # s2 has as many cycles as its inverse w^{-1} s1: i -> w^{-1}(s1(i))
+        s2_inverse = [inverse[x] for x in s1]
+        table[_cycle_count(s1)][_cycle_count(s2_inverse)] += 1
+    return table

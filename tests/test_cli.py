@@ -79,7 +79,7 @@ def test_eval_cap_violations(capsys):
     assert code == 2 and out == "" and "n <= 60" in err
 
     code, _, err = run(capsys, "eval", "--method", "stanley",
-                       "--cycle", "5,5", "--p", "2", "--q", "2")
+                       "--cycle", "9,8", "--p", "2", "--q", "2")
     assert code == 2 and "size" in err
 
     code, _, err = run(capsys, "eval", "--method", "closed",
@@ -119,7 +119,7 @@ def test_poly_usage_errors(capsys):
     assert code == 2 and "--cycle is required" in err
 
     code, _, err = run(capsys, "poly", "--kind", "stanley",
-                       "--cycle", "4,3,3")
+                       "--cycle", "9,8")
     assert code == 2 and "capped" in err
 
 

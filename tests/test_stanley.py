@@ -1,13 +1,18 @@
 """Tests for Stanley's rectangle formula and its polynomial forms."""
 
 from fractions import Fraction
+from math import factorial
+from time import perf_counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bruteforce import factorization_table, stirling_first_unsigned
 from rectchar._poly import BiPoly, DEPoly
+from rectchar.closed import ch_rect_fast, closed_char_ed
 from rectchar.mn import normalized_character
 from rectchar.stanley import (
+    _joint_cycle_table,
     BasisMismatch,
     GroupRingElem,
     Perm,
@@ -66,6 +71,56 @@ def test_cycle_type_representative():
     assert rep.cycle_count() == 1
 
 
+# the joint cycle table -------------------------------------------------------
+
+def test_joint_table_matches_bruteforce():
+    for k in range(9):
+        for pi in partitions(k):
+            w = [x - 1 for x in cycle_type_representative(pi).images]
+            table = [list(row) for row in _joint_cycle_table(pi.parts)]
+            assert table == factorization_table(w), pi
+
+
+def test_joint_table_refuses_a_sum_with_a_remainder(monkeypatch):
+    # weight 1 on the one-row shape alone leaves x (x + 1) y (y + 1) / 2
+    monkeypatch.setattr("rectchar.stanley.character_mn",
+                        lambda lam, pi: 1 if lam.parts == (2,) else 0)
+    with pytest.raises(ArithmeticError):
+        _joint_cycle_table.__wrapped__((2,))
+
+
+def test_joint_table_trivial_sizes():
+    assert _joint_cycle_table(()) == ((1,),)
+    assert _joint_cycle_table((1,)) == ((0, 0), (0, 1))
+
+
+def test_joint_table_total_and_marginals_are_stirling():
+    for k in range(1, 13):
+        table = _joint_cycle_table((k,))
+        assert sum(map(sum, table)) == factorial(k)
+        stirling = stirling_first_unsigned(k)
+        row_marginal = [sum(row) for row in table]
+        assert row_marginal == stirling
+        col_marginal = [sum(row[c2] for row in table) for c2 in range(k + 1)]
+        assert col_marginal == row_marginal
+
+
+def test_joint_table_symmetry():
+    for parts in ((2, 2, 1), (3, 1), (6,), (4, 3, 2, 1), (5, 5, 2)):
+        table = _joint_cycle_table(parts)
+        assert all(table[a][b] == table[b][a]
+                   for a in range(len(table)) for b in range(len(table)))
+
+
+def test_joint_table_identity_is_diagonal():
+    for k in range(1, 10):
+        table = _joint_cycle_table((1,) * k)
+        stirling = stirling_first_unsigned(k)
+        for a in range(k + 1):
+            for b in range(k + 1):
+                assert table[a][b] == (stirling[a] if a == b else 0)
+
+
 # numeric and polynomial evaluation ------------------------------------------
 
 def test_stanley_eval_examples():
@@ -93,8 +148,10 @@ def test_stanley_poly_text():
 def test_poly_matches_eval():
     for pi in _cycle_types(6):
         poly = stanley_poly(pi)
-        for p, q in ((1, 1), (2, 3), (3, 2), (4, 5), (-1, 3), (2, -2)):
+        for p, q in ((1, 1), (2, 3), (3, 2), (4, 5), (-1, 3), (2, -2),
+                     (Fraction(-7, 3), Fraction(5, 4)), (0, Fraction(2, 7))):
             assert poly.evaluate(p, q) == stanley_eval(pi, p, q), pi
+        assert type(stanley_eval(pi, 3, -2)) is int
 
 
 def test_matches_oracle_on_small_grid():
@@ -103,6 +160,31 @@ def test_matches_oracle_on_small_grid():
             for q in range(1, 5):
                 assert (stanley_eval(pi, p, q)
                         == normalized_character(pi, rectangle(p, q))), (pi, p, q)
+
+
+def test_single_cycles_up_to_the_cap_match_the_closed_route():
+    # ch_rect_fast takes positive sides, here with p q past the oracle's
+    # cap; at negative and rational points the closed route's (e, d)
+    # reference sum evaluates the same polynomial.
+    sides = ((7, 11), (12, 13), (1, 1000), (40, 3))
+    points = ((-3, 5), (4, -9), (-2, -7), (Fraction(7, 2), Fraction(-5, 3)),
+              (Fraction(1, 3), Fraction(1, 2)))
+    for k in range(10, 17):
+        pi = Partition((k,))
+        for p, q in sides:
+            assert stanley_eval(pi, p, q) == ch_rect_fast(k, p, q), (k, p, q)
+        for p, q in points:
+            half_sum, half_diff = Fraction(p + q, 2), Fraction(q - p, 2)
+            assert (stanley_eval(pi, p, q)
+                    == closed_char_ed(k, half_sum, half_diff)), (k, p, q)
+
+
+def test_identity_class_of_sixteen_builds_fast_and_matches_oracle():
+    pi = Partition((1,) * 16)
+    started = perf_counter()
+    poly = stanley_poly(pi)
+    assert perf_counter() - started < 1.0
+    assert poly.evaluate(4, 4) == normalized_character(pi, rectangle(4, 4))
 
 
 def test_transpose_sign_identity():

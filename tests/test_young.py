@@ -1,4 +1,4 @@
-"""Tests for partitions, rim hooks, dimensions, and strict doubling."""
+"""Tests for partitions, rim hooks and dimensions."""
 
 from math import factorial
 
@@ -8,23 +8,16 @@ from hypothesis import given, strategies as st
 from bruteforce import border_strips, syt_count
 from rectchar.young import (
     Partition,
-    StrictPartition,
     dim_f,
-    double_strict,
     partitions,
     rectangle,
     rim_hooks_of_length,
-    staircase,
     transpose,
 )
 
 small_partitions = st.lists(
     st.integers(min_value=1, max_value=8), max_size=6,
 ).map(lambda xs: Partition(sorted(xs, reverse=True)))
-
-strict_partitions = st.lists(
-    st.integers(min_value=1, max_value=12), unique=True, min_size=1, max_size=5,
-).map(lambda xs: StrictPartition(sorted(xs, reverse=True)))
 
 
 def test_partition_validation():
@@ -49,16 +42,6 @@ def test_partition_protocols():
     assert hash(lam) == hash(Partition((4, 2, 1)))
     assert bool(Partition(())) is False
     assert Partition(lam).parts is lam.parts
-
-
-def test_strict_partition_validation():
-    assert StrictPartition((3, 1)).size == 4
-    with pytest.raises(ValueError):
-        StrictPartition((2, 2))
-    with pytest.raises(ValueError):
-        StrictPartition((1, 3))
-    assert StrictPartition((3, 1)) != Partition((3, 1))
-    assert hash(StrictPartition((3, 1))) != hash(Partition((3, 1)))
 
 
 def test_rectangle():
@@ -126,40 +109,6 @@ def test_rim_hooks_match_bruteforce():
                 got = {(h.remainder.parts, h.height)
                        for h in rim_hooks_of_length(lam, k)}
                 assert got == border_strips(lam.parts, k), (lam, k)
-
-
-def test_staircase():
-    assert staircase(3).parts == (3, 2, 1)
-    assert staircase(0).parts == ()
-    with pytest.raises(ValueError):
-        staircase(-1)
-
-
-def test_double_strict_examples():
-    assert double_strict(StrictPartition((1,))).parts == (2,)
-    assert double_strict(StrictPartition((2, 1))).parts == (3, 3)
-    assert double_strict(StrictPartition((3, 1))).parts == (4, 3, 1)
-    assert double_strict((4, 2)).parts == (5, 4, 2, 1)
-
-
-def test_double_strict_of_staircase_is_rectangle():
-    for p in range(9):
-        assert double_strict(staircase(p)) == rectangle(p, p + 1)
-
-
-@given(strict_partitions)
-def test_double_strict_doubles_size(xi):
-    lam = double_strict(xi)
-    assert lam.size == 2 * xi.size
-
-
-@given(strict_partitions)
-def test_double_strict_frobenius_coordinates(xi):
-    lam = double_strict(xi)
-    mu = transpose(lam)
-    for i, arm in enumerate(xi.parts, start=1):
-        assert lam[i - 1] - i == arm
-        assert mu[i - 1] - i == arm - 1
 
 
 def test_partitions_enumeration():
