@@ -1,10 +1,14 @@
 """Murnaghan-Nakayama character evaluation and the normalized character.
 
-character_mn runs the full rim-hook recursion for an arbitrary cycle type;
-one_cycle_character handles the single-cycle-plus-fixpoints classes without
-deep recursion, which keeps large diagrams cheap.  normalized_character is
-the degree-k falling-factorial normalization that turns character ratios
-into polynomial data.
+There is one rim-hook recursion.  It removes a rim hook for each part of
+the cycle type greater than 1, largest part first, and closes every branch
+with f of the remaining shape: the character at the identity class is the
+number of standard tableaux.  Fixed points cost nothing, so the cost is one
+hook removal per non-unit part, memoized per call on the remaining shape,
+whatever the size of the diagram.  character_mn, one_cycle_character and
+normalized_character all run it.  normalized_character is the degree-k
+falling-factorial normalization that turns character ratios into
+polynomial data.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exact import falling_factorial
-from .young import Partition, RimHook, dim_f, rim_hooks_of_length
+from .young import Partition, RimHook, _dim_from_parts, rim_hooks_of_length
 
 __all__ = [
     "SizeMismatch",
@@ -37,12 +41,37 @@ def _hooks(parts: tuple[int, ...], k: int) -> tuple[RimHook, ...]:
     return tuple(rim_hooks_of_length(Partition(parts), k))
 
 
+def _character(shape: tuple[int, ...], cycles: tuple[int, ...]) -> int:
+    # the character of shape at cycles completed with fixed points; cycles
+    # is weakly decreasing and fits inside the shape
+    memo: dict[tuple[tuple[int, ...], int], int] = {}
+    last = len(cycles)
+
+    def rec(sub: tuple[int, ...], idx: int) -> int:
+        if idx == last:
+            return _dim_from_parts(sub)
+        key = (sub, idx)
+        known = memo.get(key)
+        if known is not None:
+            return known
+        total = 0
+        for hook in _hooks(sub, cycles[idx]):
+            value = rec(hook.remainder.parts, idx + 1)
+            total += -value if hook.height % 2 else value
+        memo[key] = total
+        return total
+
+    return rec(shape, 0)
+
+
 def character_mn(shape, cycle_type) -> int:
     """Irreducible character of the shape, evaluated at the cycle type.
 
-    Rim hooks are removed for one part of the cycle type at a time, largest
-    part first, with results memoized per call on the remaining shape and
-    the position in the part list.
+    A rim hook is removed for each part greater than 1, largest part first,
+    with results memoized per call on the remaining shape and the position
+    in the part list; each branch ends in f of what is left.  The cost
+    depends on the non-unit parts and their hook counts, not on the number
+    of fixed points.
 
     >>> character_mn(Partition((2, 2)), Partition((3, 1)))
     -1
@@ -52,31 +81,11 @@ def character_mn(shape, cycle_type) -> int:
     if lam.size != mu.size:
         raise SizeMismatch(f"shape {lam} has size {lam.size}, "
                            f"cycle type {mu} has size {mu.size}")
-    parts = mu.parts
-    memo: dict[tuple[tuple[int, ...], int], int] = {}
-
-    def rec(sub: tuple[int, ...], idx: int) -> int:
-        if idx == len(parts):
-            return 1
-        key = (sub, idx)
-        known = memo.get(key)
-        if known is not None:
-            return known
-        total = 0
-        for hook in _hooks(sub, parts[idx]):
-            value = rec(hook.remainder.parts, idx + 1)
-            total += -value if hook.height % 2 else value
-        memo[key] = total
-        return total
-
-    return rec(lam.parts, 0)
+    return _character(lam.parts, tuple(x for x in mu.parts if x > 1))
 
 
 def one_cycle_character(shape, k: int) -> int:
-    """Character at one k-cycle plus fixpoints, as a single rim-hook sum.
-
-    Each k-hook removal leaves a diagram evaluated at the identity class,
-    which is a hook-length count, so there is no deep recursion.
+    """Character at one k-cycle plus fixpoints.
 
     >>> one_cycle_character(Partition((2, 2)), 3)
     -1
@@ -85,11 +94,7 @@ def one_cycle_character(shape, k: int) -> int:
     if k < 1 or k > lam.size:
         raise OutOfRange(f"cycle length {k} does not fit in a diagram of "
                          f"size {lam.size}")
-    total = 0
-    for hook in _hooks(lam.parts, k):
-        value = dim_f(hook.remainder)
-        total += -value if hook.height % 2 else value
-    return total
+    return _character(lam.parts, (k,))
 
 
 def normalized_character(cycle, shape) -> Fraction:
@@ -110,12 +115,8 @@ def normalized_character(cycle, shape) -> Fraction:
         return Fraction(0)
     if k == 0:
         return Fraction(1)
-    if pi.length == 1:
-        chi = one_cycle_character(lam, k)
-    else:
-        mu = Partition(pi.parts + (1,) * (n - k))
-        chi = character_mn(lam, mu)
-    return Fraction(falling_factorial(n, k) * chi, dim_f(lam))
+    chi = _character(lam.parts, tuple(x for x in pi.parts if x > 1))
+    return Fraction(falling_factorial(n, k) * chi, _dim_from_parts(lam.parts))
 
 
 if __name__ == "__main__":

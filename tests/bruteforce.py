@@ -1,10 +1,11 @@
 """Independent brute-force oracles used only by the test suite.
 
 Everything here is deliberately naive: standard tableaux are counted by
-corner removal, border strips by filtering all sub-partitions, Stirling
-numbers by the textbook recurrence, factorizations of a permutation by
-trying all k! of them.  The point is that none of it shares
-code or ideas with the library implementations it checks.
+corner removal, border strips by filtering all sub-partitions, characters
+by stripping those border strips, Stirling numbers by the textbook
+recurrence, factorizations of a permutation by trying all k! of them.  The
+point is that none of it shares code or ideas with the library
+implementations it checks.
 """
 
 from __future__ import annotations
@@ -124,3 +125,21 @@ def factorization_table(w) -> list[list[int]]:
         s2_inverse = [inverse[x] for x in s1]
         table[_cycle_count(s1)][_cycle_count(s2_inverse)] += 1
     return table
+
+
+@lru_cache(maxsize=None)
+def character_bruteforce(parts: tuple[int, ...], mu: tuple[int, ...]) -> int:
+    """Character of the shape at the class mu, by Murnaghan-Nakayama.
+
+    The parts of mu are stripped in the order listed, each as a brute-force
+    border strip; once only 1-cycles are left, the character at the identity
+    is the number of standard tableaux.
+    """
+    assert sum(parts) == sum(mu), (parts, mu)
+    if all(m == 1 for m in mu):
+        return syt_count(parts)
+    total = 0
+    for inner, height in border_strips(parts, mu[0]):
+        value = character_bruteforce(inner, mu[1:])
+        total += -value if height % 2 else value
+    return total

@@ -8,6 +8,8 @@ import pytest
 
 from rectchar.closed import ch_rect_fast
 from rectchar.cli import main
+from rectchar.mn import normalized_character
+from rectchar.stanley import stanley_eval
 
 
 def run(capsys, *argv):
@@ -170,6 +172,39 @@ def test_verify_names_the_exception_of_a_raising_case(capsys, monkeypatch):
     assert lines[1] == "FAIL jm factorization k=2: ValueError: no table for k=2"
     assert lines[0] == "PASS jm factorization k=1"
     assert lines[-1] == "verify: 2 passed, 1 failed"
+
+
+def test_verify_shows_the_values_that_disagreed(capsys, monkeypatch):
+    def wrong_for_three_cycles(pi, p, q):
+        return 1000 if pi.parts == (3,) else stanley_eval(pi, p, q)
+
+    monkeypatch.setattr("rectchar.cli.stanley_eval", wrong_for_three_cycles)
+    code, out, _ = run(capsys, "verify", "--suite", "oracle-match",
+                       "--k-max", "3", "--pq-max", "3")
+    assert code == 1
+    fails = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert len(fails) == 9  # the 3-cycle on the nine rectangles up to 3 x 3
+    assert ("FAIL oracle-match stanley pi=[3] p=2 q=3: "
+            "stanley=1000 oracle=-24") in fails
+    assert ("FAIL oracle-match stanley pi=[3] p=2 q=2: "
+            "stanley=1000 oracle=-12") in fails
+    assert "PASS oracle-match stanley pi=[2,1] p=2 q=3" in out
+    assert out.splitlines()[-1] == "verify: 72 passed, 9 failed"
+
+
+def test_verify_shows_both_sides_of_a_broken_transpose(capsys, monkeypatch):
+    def off_by_one_when_tall(pi, shape):
+        value = normalized_character(pi, shape)
+        return value + 1 if len(shape) > shape[0] else value
+
+    monkeypatch.setattr("rectchar.cli.normalized_character",
+                        off_by_one_when_tall)
+    code, out, _ = run(capsys, "verify", "--suite", "transpose",
+                       "--k-max", "2", "--pq-max", "2")
+    assert code == 1
+    assert ("FAIL transpose oracle pi=[2] p=1 q=2: "
+            "oracle(2x1)=-1 signed oracle(1x2)=-2") in out.splitlines()
+    assert out.splitlines()[-1] == "verify: 3 passed, 3 failed"
 
 
 def test_bench_orders_rows_and_agrees(capsys):

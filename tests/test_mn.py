@@ -1,9 +1,14 @@
 """Tests for the Murnaghan-Nakayama oracle."""
 
 from fractions import Fraction
+from math import perm
+from time import perf_counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from bruteforce import character_bruteforce, syt_count
+from rectchar.closed import ch_rect_fast
 from rectchar.mn import (
     OutOfRange,
     SizeMismatch,
@@ -11,7 +16,8 @@ from rectchar.mn import (
     normalized_character,
     one_cycle_character,
 )
-from rectchar.young import Partition, dim_f, partitions, rectangle, transpose
+from rectchar.stanley import stanley_eval
+from rectchar.young import Partition, partitions, rectangle, transpose
 
 # Full character table of S_4: rows are shapes, columns are the classes
 # 1^4, (2,1,1), (2,2), (3,1), (4).
@@ -47,7 +53,29 @@ def test_identity_class_gives_dimension():
     for n in range(11):
         ones = Partition((1,) * n)
         for lam in partitions(n):
-            assert character_mn(lam, ones) == dim_f(lam)
+            assert character_mn(lam, ones) == syt_count(lam.parts)
+
+
+def test_character_table_matches_bruteforce():
+    for n in range(9):
+        for lam in partitions(n):
+            for mu in partitions(n):
+                assert (character_mn(lam, mu)
+                        == character_bruteforce(lam.parts, mu.parts)), (lam, mu)
+
+
+def test_rectangles_match_bruteforce():
+    for p in range(1, 21):
+        for q in range(1, 20 // p + 1):
+            n = p * q
+            for k in range(1, min(n, 6) + 1):
+                for pi in partitions(k):
+                    mu = pi.parts + (1,) * (n - k)
+                    chi = character_bruteforce((q,) * p, mu)
+                    assert character_mn(rectangle(p, q), mu) == chi, (pi, p, q)
+                    assert (normalized_character(pi, rectangle(p, q))
+                            == Fraction(perm(n, k) * chi,
+                                        syt_count((q,) * p))), (pi, p, q)
 
 
 def test_conjugate_shape_sign():
@@ -98,3 +126,45 @@ def test_normalized_general_shapes():
     value = normalized_character(Partition((2,)), Partition((3, 1)))
     assert isinstance(value, Fraction)
     assert value == 4
+
+
+@pytest.mark.parametrize("cycle, p, q", [((3, 2), 6, 10), ((2, 2), 7, 9)])
+def test_fixed_points_cost_nothing(cycle, p, q):
+    # a recursion that peels the n - k fixed points one box at a time needs
+    # ~0.3 s for each of these
+    start = perf_counter()
+    value = normalized_character(Partition(cycle), rectangle(p, q))
+    assert perf_counter() - start < 0.1
+    assert value == stanley_eval(Partition(cycle), p, q)
+
+
+def test_many_two_cycles_stay_cheap():
+    start = perf_counter()
+    normalized_character(Partition((2,) * 10), rectangle(6, 10))
+    assert perf_counter() - start < 0.1
+
+
+@st.composite
+def cycles_and_rectangles(draw):
+    k = draw(st.integers(min_value=1, max_value=8))
+    parts = []
+    left = k
+    while left:
+        part = draw(st.integers(min_value=1, max_value=left))
+        parts.append(part)
+        left -= part
+    p = draw(st.integers(min_value=1, max_value=60))
+    q = draw(st.integers(min_value=1, max_value=60 // p))
+    if draw(st.booleans()):
+        p, q = q, p
+    return Partition(sorted(parts, reverse=True)), p, q
+
+
+@given(cycles_and_rectangles())
+@settings(max_examples=200, deadline=None)
+def test_routes_agree_on_random_rectangles(case):
+    pi, p, q = case
+    value = normalized_character(pi, rectangle(p, q))
+    assert value == stanley_eval(pi, p, q)
+    if pi.length == 1:
+        assert value == ch_rect_fast(pi.size, p, q)
