@@ -7,7 +7,6 @@ All arithmetic is exact; no floats appear anywhere.
 """
 
 from .closed import (
-    ParityCase,
     ch_rect_fast,
     closed_char_ed,
     coeff_f,
@@ -19,15 +18,10 @@ from .closed import (
     minus_one_row_char,
 )
 from .exact import (
-    HalfInt,
-    Int,
-    Rat,
     Scalar,
-    ZeroFactorInReciprocalRange,
     catalan,
     double_factorial,
     double_rising_factorial,
-    extended_product,
     falling_factorial,
 )
 from .mn import (
@@ -66,18 +60,13 @@ __all__ = [
     "BiPoly",
     "DEPoly",
     "GroupRingElem",
-    "HalfInt",
-    "Int",
     "JNPoly",
     "OutOfRange",
-    "ParityCase",
     "Partition",
     "Perm",
-    "Rat",
     "RimHook",
     "Scalar",
     "SizeMismatch",
-    "ZeroFactorInReciprocalRange",
     "catalan",
     "ch_rect_fast",
     "character_mn",
@@ -90,7 +79,6 @@ __all__ = [
     "dim_f",
     "double_factorial",
     "double_rising_factorial",
-    "extended_product",
     "falling_factorial",
     "integrality_witness",
     "jm_factorization_check",

@@ -14,7 +14,6 @@ from typing import Iterable, Mapping, Union
 __all__ = ["BiPoly", "DEPoly", "JNPoly"]
 
 Coeff = Union[int, Fraction]
-Key = "tuple[int, int]"
 
 
 class _Poly2:
@@ -47,10 +46,6 @@ class _Poly2:
     @classmethod
     def constant(cls, c: Coeff):
         return cls({(0, 0): c})
-
-    @classmethod
-    def monomial(cls, i: int, j: int, c: Coeff = 1):
-        return cls({(i, j): c})
 
     # queries ----------------------------------------------------------------
 
@@ -250,9 +245,6 @@ class DEPoly(_Poly2):
     def d_degree(self) -> int:
         return max((i for (i, _) in self._terms), default=-1)
 
-    def e_degree(self) -> int:
-        return max((j for (_, j) in self._terms), default=-1)
-
     def is_even_in_d(self) -> bool:
         return all(i % 2 == 0 for (i, _) in self._terms)
 
@@ -286,18 +278,3 @@ class JNPoly(_Poly2):
         if coeff == -1:
             return f"-{mono}"
         return f"{coeff}*{mono}"
-
-    def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        ordered = sorted(self._terms.items(), key=lambda kv: self._sort_key(kv[0]))
-        chunks = []
-        for key, c in ordered:
-            mono = self._monomial_text(*key)
-            if not chunks:
-                chunks.append(self._term_text(c, mono))
-            elif c < 0:
-                chunks.append("- " + self._term_text(-c, mono))
-            else:
-                chunks.append("+ " + self._term_text(c, mono))
-        return " ".join(chunks)

@@ -9,6 +9,11 @@ Evaluation methods
             1^16, builds its table in about 0.1 s.
   closed    product formulas; single cycles only, no size cap.
 
+poly --kind G|H|I|J is capped at |two_d| <= 120, where a family polynomial
+takes about 0.1 s to build and print; its cost grows about as |two_d|^3.
+verify runs the jm suite for k <= 7 only, whatever --k-max says: the check
+builds all of S_k, 0.06 s at k = 7 and 0.5 s at k = 8.
+
 Exit codes: 0 on success, 1 when a verification or cross-check fails, 2 on
 usage errors including cap violations.
 """
@@ -42,10 +47,12 @@ from .stanley import (
 )
 from .young import Partition, partitions, rectangle
 
-__all__ = ["main", "STANLEY_CAP", "ORACLE_CAP"]
+__all__ = ["main", "STANLEY_CAP", "ORACLE_CAP", "FAMILY_CAP", "JM_CAP"]
 
 STANLEY_CAP = 16
 ORACLE_CAP = 60
+FAMILY_CAP = 120
+JM_CAP = 7
 
 _SUITES = (
     "oracle-match",
@@ -157,6 +164,10 @@ def _cmd_poly(args) -> int:
         print(f"poly: --two-d is required for kind {args.kind}",
               file=sys.stderr)
         return 2
+    if abs(args.two_d) > FAMILY_CAP:
+        print(f"poly: kind {args.kind} is capped at |two-d| <= {FAMILY_CAP}, "
+              f"got {args.two_d}", file=sys.stderr)
+        return 2
     needs_even = args.kind in ("G", "I")
     if needs_even != (args.two_d % 2 == 0):
         wanted = "even" if needs_even else "odd"
@@ -266,7 +277,7 @@ def _suite_vanishing(args) -> list:
 def _suite_jm(args) -> list:
     return [(f"jm factorization k={k}",
              lambda k=k: jm_factorization_check(k))
-            for k in range(1, args.k_max + 1)]
+            for k in range(1, min(args.k_max, JM_CAP) + 1)]
 
 
 def _suite_leading_catalan(args) -> list:

@@ -12,26 +12,29 @@ prefactor times a short structured sum times a run of linear factors in n:
   even cycle 2j,  q - p odd    ->  binomial prefactor and family J
 
 Each family member is a polynomial in j and n with integer coefficients,
-exposed symbolically by corollary_poly.  closed_char_ed carries the same
-four sums in the (e, d) coordinates without splitting off the linear run,
-which is the form that matches Stanley's polynomial after the substitution
-P = E - D, Q = E + D; it works in Fraction arithmetic and serves as the
-reference.  ch_rect_fast evaluates that sum for all four cases at once in
-the integers S = 2 e and D = 2 d: O(k) integer multiplications on numbers
-of O(k log n) digits for a k-cycle, whatever |q - p| is, and one checked
+exposed symbolically by corollary_poly.  It builds all four families with
+one integer loop in D = q - p: the factors are 4 n + D^2 - t^2 and
+D^2 - t^2 over the offsets t of the parity of D below |D|, the family
+coefficients are integer polynomials in j over one common denominator, and
+a single checked exact division ends the sum.  closed_char_ed carries the
+same four sums in the (e, d) coordinates without splitting off the linear
+run, which is the form that matches Stanley's polynomial after the
+substitution P = E - D, Q = E + D; it works in Fraction arithmetic, shares
+no code with the two integer evaluators and serves as their reference.
+ch_rect_fast evaluates that sum for all four cases at once in the integers
+S = 2 e and D = 2 d: O(k) integer multiplications on numbers of
+O(k log n) digits for a k-cycle, whatever |q - p| is, and one checked
 exact division at the end.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, prod
 
 from ._poly import JNPoly
 from .exact import (
-    HalfInt,
     catalan,
     double_factorial,
     double_rising_factorial,
@@ -41,7 +44,6 @@ from .stanley import stanley_poly, substitute_ed
 from .young import Partition
 
 __all__ = [
-    "ParityCase",
     "coeff_f",
     "coeff_g",
     "closed_char_ed",
@@ -52,49 +54,6 @@ __all__ = [
     "integrality_witness",
     "leading_square_coeff",
 ]
-
-_FAMILY = {
-    ("odd", "even"): "G",
-    ("odd", "odd"): "H",
-    ("even", "even"): "I",
-    ("even", "odd"): "J",
-}
-
-
-@dataclass(frozen=True)
-class ParityCase:
-    """Which of the four closed formulas applies.
-
-    cycle_parity is the parity of the cycle length, diff_parity the parity
-    of q - p.
-
-    >>> ParityCase.of(3, 4).family
-    'G'
-    >>> ParityCase.of(6, -3).family
-    'J'
-    """
-
-    cycle_parity: str
-    diff_parity: str
-
-    def __post_init__(self) -> None:
-        if self.cycle_parity not in ("odd", "even"):
-            raise ValueError(f"bad cycle parity {self.cycle_parity!r}")
-        if self.diff_parity not in ("even", "odd"):
-            raise ValueError(f"bad difference parity {self.diff_parity!r}")
-
-    @classmethod
-    def of(cls, k_cycle: int, two_d: int) -> "ParityCase":
-        if k_cycle < 1:
-            raise ValueError("cycle length must be positive")
-        return cls(
-            "odd" if k_cycle % 2 else "even",
-            "even" if two_d % 2 == 0 else "odd",
-        )
-
-    @property
-    def family(self) -> str:
-        return _FAMILY[(self.cycle_parity, self.diff_parity)]
 
 
 def coeff_f(j, k: int) -> Fraction:
@@ -127,19 +86,12 @@ def coeff_g(j, k: int) -> Fraction:
     return Fraction(num, factorial(k) * double_factorial(2 * k + 1))
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, HalfInt):
-        return x.as_fraction()
-    return Fraction(x)
-
-
 def closed_char_ed(k_cycle: int, e, d, diff_parity: str = "even"):
     """Single-cycle rectangle character in the (e, d) coordinates.
 
-    e and d may be integers, fractions, or half-integers.  diff_parity
-    selects integer or half-integer shifts in the structured sum; the two
-    choices agree identically in e and d, so either evaluates the same
-    polynomial.
+    e and d may be integers or fractions.  diff_parity selects integer or
+    half-integer shifts in the structured sum; the two choices agree
+    identically in e and d, so either evaluates the same polynomial.
 
     >>> closed_char_ed(3, Fraction(2), Fraction(0))
     Fraction(-12, 1)
@@ -150,8 +102,8 @@ def closed_char_ed(k_cycle: int, e, d, diff_parity: str = "even"):
         raise ValueError("cycle length must be positive")
     if diff_parity not in ("even", "odd"):
         raise ValueError(f"bad difference parity {diff_parity!r}")
-    e2 = _as_fraction(e) ** 2
-    d2 = _as_fraction(d) ** 2
+    e2 = Fraction(e) ** 2
+    d2 = Fraction(d) ** 2
     half = diff_parity == "odd"
     if k_cycle % 2:
         # shifts 0, 1, ... or 1/2, 3/2, ... depending on diff parity
@@ -181,48 +133,7 @@ def closed_char_ed(k_cycle: int, e, d, diff_parity: str = "even"):
             term *= e2 - (Fraction((2 * r - 1) ** 2, 4) if half
                           else Fraction(r * r))
         total += term
-    return pref * 2 * _as_fraction(d) * total
-
-
-_J = JNPoly({(1, 0): 1})
-_N = JNPoly({(0, 1): 1})
-
-
-def _sym_falling(k: int) -> JNPoly:
-    out = JNPoly.constant(1)
-    for i in range(k):
-        out = out * (_J - i)
-    return out
-
-
-def _sym_double_rising(offset: int, k: int) -> JNPoly:
-    out = JNPoly.constant(1)
-    for i in range(k):
-        out = out * (2 * _J + (offset + 2 * i))
-    return out
-
-
-def _sym_f(k: int) -> JNPoly:
-    scale = Fraction(-1 if k % 2 else 1,
-                     factorial(k) * double_factorial(2 * k - 1))
-    return scale * _sym_falling(k) * _sym_double_rising(-1, k)
-
-
-def _sym_g(k: int) -> JNPoly:
-    scale = Fraction(-1 if k % 2 else 1,
-                     factorial(k) * double_factorial(2 * k + 1))
-    return scale * _sym_falling(k) * _sym_double_rising(1, k)
-
-
-def _demote(poly: JNPoly) -> JNPoly:
-    terms: dict[tuple[int, int], int] = {}
-    for key, c in poly.terms().items():
-        frac = Fraction(c)
-        if frac.denominator != 1:
-            raise ArithmeticError(
-                f"non-integer coefficient {frac} at {key} in family polynomial")
-        terms[key] = int(frac)
-    return JNPoly(terms)
+    return pref * 2 * Fraction(d) * total
 
 
 @lru_cache(maxsize=None)
@@ -241,53 +152,49 @@ def corollary_poly(two_d: int, cycle_parity: str) -> JNPoly:
     """
     if cycle_parity not in ("odd", "even"):
         raise ValueError(f"bad cycle parity {cycle_parity!r}")
-    d2 = Fraction(two_d * two_d, 4)
-    if cycle_parity == "odd":
-        if two_d % 2 == 0:
-            abs_d = abs(two_d) // 2
-            total = JNPoly.zero()
-            for k in range(abs_d + 1):
-                term = _sym_f(k)
-                for r in range(k):
-                    term = term * Fraction(abs_d * abs_d - r * r)
-                for r in range(k, abs_d):
-                    term = term * (_N + (abs_d * abs_d - r * r))
-                total = total + term
-            return _demote(total)
-        m = (abs(two_d) - 1) // 2
-        total = JNPoly.zero()
-        for k in range(m + 1):
-            term = _sym_f(k)
-            for r in range(k):
-                term = term * (d2 - Fraction((2 * r + 1) ** 2, 4))
-            for r in range(k, m):
-                term = term * (_N + (d2 - Fraction((2 * r + 1) ** 2, 4)))
-            total = total + term
-        return _demote(total)
-    if two_d % 2 == 0:
-        d = two_d // 2
-        if d == 0:
-            return JNPoly.zero()
-        ad = abs(d)
-        total = JNPoly.zero()
-        for k in range(ad):
-            term = _sym_g(k)
-            for r in range(1, k + 1):
-                term = term * Fraction(ad * ad - r * r)
-            for r in range(k + 1, ad):
-                term = term * (_N + (ad * ad - r * r))
-            total = total + term
-        return _demote(d * total)
-    m = (abs(two_d) - 1) // 2
-    total = JNPoly.zero()
+    # Four times each factor of the (e, d) sum, with e^2 = N + d^2, in the
+    # integer D = two_d: D^2 - t^2 and 4 N + D^2 - t^2 for the offsets t of
+    # the parity of D below |D|, from 1 for odd D, else from 0 (odd cycles)
+    # or 2 (even cycles).  coeff holds, in J, the family coefficient f_k
+    # (h = 0) or g_k (h = 2) times the common denominator m! (2m - 1 + h)!!.
+    h = 0 if cycle_parity == "odd" else 2
+    diffs = [two_d * two_d - t * t
+             for t in range(two_d % 2 or h, abs(two_d), 2)]
+    m = len(diffs)
+    # suffix[i]: the coefficients in N of the product of the last i factors
+    suffix = [[1]]
+    for s in reversed(diffs):
+        last = suffix[-1]
+        suffix.append([s * a + 4 * b for a, b in zip(last + [0], [0] + last)])
+    den = factorial(m) * prod(range(1 + h, 2 * m + h, 2))
+    coeff, prefix = [den], 1
+    rows = [[0] * (2 * m + 1) for _ in range(m + 1)]
     for k in range(m + 1):
-        term = _sym_g(k)
-        for r in range(1, k + 1):
-            term = term * (d2 - Fraction((2 * r - 1) ** 2, 4))
-        for r in range(k + 1, m + 1):
-            term = term * (_N + (d2 - Fraction((2 * r - 1) ** 2, 4)))
-        total = total + term
-    return _demote(two_d * total)
+        for n_exp, b in enumerate(suffix[m - k]):
+            row, w = rows[n_exp], prefix * b
+            for i, a in enumerate(coeff):
+                row[i] += w * a
+        if k == m:
+            break
+        prefix *= diffs[k]
+        # times -(J - k)(2J + 2k - 1 + h) / ((k + 1)(2k + 1 + h))
+        lo, div = -k * (2 * k - 1 + h), (k + 1) * (2 * k + 1 + h)
+        padded = [0, 0] + coeff + [0, 0]
+        coeff = [-(lo * padded[i + 2] + (h - 1) * padded[i + 1]
+                   + 2 * padded[i]) // div for i in range(len(coeff) + 2)]
+    # even cycles carry d (two_d even) or 2 d (two_d odd) in front
+    scale = 1 if h == 0 else two_d // (2 - two_d % 2)
+    den *= 4 ** m
+    terms = {}
+    for n_exp, row in enumerate(rows):
+        for j_exp, x in enumerate(row):
+            value, rem = divmod(scale * x, den)
+            if rem:
+                raise ArithmeticError(
+                    f"non-integer coefficient {scale * x}/{den} at "
+                    f"{(j_exp, n_exp)} in family polynomial")
+            terms[j_exp, n_exp] = value
+    return JNPoly(terms)
 
 
 def ch_rect_fast(k_cycle: int, p: int, q: int) -> int:

@@ -1,87 +1,31 @@
 """Exact scalar arithmetic for the factorial families behind character formulas.
 
-Everything here is exact: integers are Python ints, rationals are
-``fractions.Fraction``, and half-integers store twice their value so that
-parity stays a cheap integer test.  No floating point is used anywhere in
-the package.
+Everything here is exact: integers are Python ints and rationals are
+``fractions.Fraction``.  No floating point is used anywhere in the package.
 
 >>> falling_factorial(4, 3)
 24
 >>> double_factorial(-1)
 1
->>> extended_product(lambda r: r + 5, -3)
-Fraction(1, 12)
+>>> catalan(4)
+14
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
-from typing import Callable, Union
+from typing import Union
 
 __all__ = [
-    "Int",
-    "Rat",
     "Scalar",
-    "HalfInt",
-    "ZeroFactorInReciprocalRange",
     "falling_factorial",
     "double_rising_factorial",
     "double_factorial",
     "catalan",
-    "extended_product",
 ]
 
-Int = int
-Rat = Fraction
 Scalar = Union[int, Fraction]
-
-
-class ZeroFactorInReciprocalRange(ArithmeticError):
-    """An inverted product range would require dividing by zero."""
-
-
-class HalfInt:
-    """An exact half-integer, stored as twice its value.
-
-    The parity of ``twice`` distinguishes integers (even) from proper
-    half-integers (odd), which is exactly the dispatch the rectangle
-    formulas need for the side difference d = (q - p) / 2.
-    """
-
-    __slots__ = ("twice",)
-
-    def __init__(self, twice: int) -> None:
-        self.twice = int(twice)
-
-    @property
-    def is_integer(self) -> bool:
-        return self.twice % 2 == 0
-
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.twice, 2)
-
-    def squared(self) -> Fraction:
-        return Fraction(self.twice * self.twice, 4)
-
-    def __abs__(self) -> "HalfInt":
-        return HalfInt(abs(self.twice))
-
-    def __neg__(self) -> "HalfInt":
-        return HalfInt(-self.twice)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, HalfInt):
-            return self.twice == other.twice
-        if isinstance(other, (int, Fraction)):
-            return self.as_fraction() == other
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.as_fraction())
-
-    def __repr__(self) -> str:
-        return f"HalfInt({self.twice})"
 
 
 def falling_factorial(a: Scalar, k: int) -> Scalar:
@@ -138,45 +82,6 @@ def catalan(m: int) -> int:
     if m < 0:
         raise ValueError("m must be non-negative")
     return factorial(2 * m) // (factorial(m) * factorial(m + 1))
-
-
-def extended_product(factor: Callable[[int], Scalar], upper: int,
-                     lower: int = 0) -> Scalar:
-    """Product of ``factor(r)`` for r from ``lower`` to ``upper``, any ints.
-
-    The range may be empty or inverted: ``upper == lower - 1`` gives 1 and
-    ``upper <= lower - 2`` gives the reciprocal of the skipped factors.
-    This is the unique extension satisfying
-
-        extended_product(f, l + 1) == extended_product(f, l) * f(l + 1)
-
-    for every integer l.  A zero factor inside the reciprocal range raises
-    ZeroFactorInReciprocalRange, since no finite value satisfies the
-    recurrence there.
-
-    >>> extended_product(lambda r: r + 1, 2)
-    6
-    >>> extended_product(lambda r: r + 1, -1)
-    1
-    >>> extended_product(lambda r: r + 5, -3)
-    Fraction(1, 12)
-    """
-    if upper >= lower:
-        out: Scalar = 1
-        for r in range(lower, upper + 1):
-            out *= factor(r)
-        return out
-    if upper == lower - 1:
-        return 1
-    denominator: Scalar = 1
-    for r in range(upper + 1, lower):
-        a = factor(r)
-        if a == 0:
-            raise ZeroFactorInReciprocalRange(
-                f"factor at index {r} is zero inside the reciprocal range "
-                f"[{upper + 1}, {lower - 1}]")
-        denominator *= a
-    return Fraction(1, 1) / denominator
 
 
 if __name__ == "__main__":

@@ -7,7 +7,7 @@ import json
 import pytest
 
 from rectchar.closed import ch_rect_fast
-from rectchar.cli import main
+from rectchar.cli import FAMILY_CAP, JM_CAP, main
 from rectchar.mn import normalized_character
 from rectchar.stanley import stanley_eval
 
@@ -109,6 +109,11 @@ def test_poly_outputs(capsys):
     assert code == 0
     assert out.strip() == "0"
 
+    code, out, _ = run(capsys, "poly", "--kind", "G",
+                       "--two-d", str(-FAMILY_CAP))
+    assert code == 0
+    assert out.startswith(f"N^{FAMILY_CAP // 2} ")
+
 
 def test_poly_usage_errors(capsys):
     code, _, err = run(capsys, "poly", "--kind", "J", "--two-d", "2")
@@ -124,6 +129,12 @@ def test_poly_usage_errors(capsys):
                        "--cycle", "9,8")
     assert code == 2 and "capped" in err
 
+    for two_d in (FAMILY_CAP + 2, -(FAMILY_CAP + 2), 1000):
+        kind = "G" if two_d % 2 == 0 else "H"
+        code, out, err = run(capsys, "poly", "--kind", kind,
+                             "--two-d", str(two_d))
+        assert code == 2 and "capped" in err and out == ""
+
 
 def test_verify_jm_suite(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "jm", "--k-max", "4")
@@ -131,6 +142,22 @@ def test_verify_jm_suite(capsys):
     lines = out.splitlines()
     assert lines[-1] == "verify: 4 passed, 0 failed"
     assert all(line.startswith("PASS jm factorization") for line in lines[:-1])
+
+
+def test_verify_jm_suite_stops_at_its_cap(capsys, monkeypatch):
+    sizes = []
+
+    def counting_check(k):
+        sizes.append(k)
+        return True
+
+    monkeypatch.setattr("rectchar.cli.jm_factorization_check",
+                        counting_check)
+    code, out, _ = run(capsys, "verify", "--suite", "jm",
+                       "--k-max", str(JM_CAP + 3))
+    assert code == 0
+    assert sizes == list(range(1, JM_CAP + 1))
+    assert out.splitlines()[-1] == f"verify: {JM_CAP} passed, 0 failed"
 
 
 def test_verify_all_suites_small_bounds(capsys):

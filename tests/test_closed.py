@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from polyfixtures import CYCLE_PARITY, EXPECTED
 from rectchar.closed import (
-    ParityCase,
     ch_rect_fast,
     closed_char_ed,
     coeff_f,
@@ -20,7 +19,7 @@ from rectchar.closed import (
     minus_one_col_char,
     minus_one_row_char,
 )
-from rectchar.exact import HalfInt, catalan, extended_product
+from rectchar.exact import catalan
 from rectchar.mn import normalized_character
 from rectchar.stanley import (
     decompose_even_basis,
@@ -31,20 +30,6 @@ from rectchar.stanley import (
 from rectchar.young import Partition, rectangle
 
 halves = st.integers(min_value=-8, max_value=8).map(lambda t: Fraction(t, 2))
-
-
-def test_parity_case_dispatch():
-    assert ParityCase.of(3, 4).family == "G"
-    assert ParityCase.of(5, -3).family == "H"
-    assert ParityCase.of(4, 2).family == "I"
-    assert ParityCase.of(6, 1).family == "J"
-    assert ParityCase("odd", "even").cycle_parity == "odd"
-    with pytest.raises(ValueError):
-        ParityCase.of(0, 2)
-    with pytest.raises(ValueError):
-        ParityCase("odd", "half")
-    with pytest.raises(ValueError):
-        ParityCase("big", "even")
 
 
 def test_coeff_values():
@@ -66,7 +51,7 @@ def test_closed_char_ed_examples():
     assert closed_char_ed(3, 2, 0, "odd") == -12
     assert closed_char_ed(2, Fraction(5, 2), Fraction(1, 2)) == 6
     assert closed_char_ed(2, Fraction(5, 2), Fraction(1, 2), "odd") == 6
-    assert closed_char_ed(1, HalfInt(5), HalfInt(3)) == 4
+    assert closed_char_ed(1, Fraction(5, 2), Fraction(3, 2)) == 4
     with pytest.raises(ValueError):
         closed_char_ed(0, 1, 0)
     with pytest.raises(ValueError):
@@ -267,27 +252,55 @@ def test_decomposition_constants_match_family_coefficients():
             assert entry.coefficient(0, 2 * (j - k)) == c_k
 
 
+def _run(n, abs_d, upper):
+    """Product of n - r (r + abs_d) for r = 0..upper.
+
+    upper = -1 gives the empty product 1, and upper <= -2 the reciprocal of
+    the factors at r = upper + 1..-1, so that every run satisfies
+    run(upper + 1) == run(upper) * (n - (upper + 1) (upper + 1 + abs_d)).
+    """
+    out = Fraction(1)
+    for r in range(upper + 1):
+        out *= n - r * (r + abs_d)
+    for r in range(upper + 1, 0):
+        out /= n - r * (r + abs_d)
+    return out
+
+
+def _family_reconstruction(k, p, q):
+    """Prefactor times family member at (j, n) times the linear run."""
+    two_d, n = q - p, p * q
+    poly = corollary_poly(two_d, "odd" if k % 2 else "even")
+    if k % 2:
+        j = (k + 1) // 2
+        pref = (-1 if j % 2 == 0 else 1) * catalan(j - 1)
+        upper = (j - abs(two_d) // 2 - 1 if two_d % 2 == 0
+                 else j - (abs(two_d) + 1) // 2)
+    else:
+        j = k // 2
+        pref = (-1 if j % 2 == 0 else 1) * (
+            comb(2 * j, j) if two_d % 2 == 0 else comb(2 * j - 1, j))
+        upper = (j - abs(two_d) // 2 if two_d % 2 == 0
+                 else j - (abs(two_d) + 1) // 2)
+    return pref * poly.evaluate(j, n) * _run(n, abs(two_d), upper)
+
+
 def test_families_against_direct_product_reconstruction():
     # corollary data recombines into the single-cycle character
     for k in range(1, 8):
         for p in range(1, 8):
             for q in range(1, 8):
-                two_d = q - p
-                n = p * q
-                parity = "odd" if k % 2 else "even"
-                poly = corollary_poly(two_d, parity)
-                if k % 2:
-                    j = (k + 1) // 2
-                    pref = (-1 if j % 2 == 0 else 1) * catalan(j - 1)
-                    upper = (j - abs(two_d) // 2 - 1 if two_d % 2 == 0
-                             else j - (abs(two_d) + 1) // 2)
-                else:
-                    j = k // 2
-                    pref = (-1 if j % 2 == 0 else 1) * (
-                        comb(2 * j, j) if two_d % 2 == 0 else comb(2 * j - 1, j))
-                    upper = (j - abs(two_d) // 2 if two_d % 2 == 0
-                             else j - (abs(two_d) + 1) // 2)
-                run = extended_product(
-                    lambda r: n - r * (r + abs(two_d)), upper)
-                got = pref * Fraction(poly.evaluate(j, n)) * run
+                got = _family_reconstruction(k, p, q)
                 assert got == ch_rect_fast(k, p, q), (k, p, q)
+
+
+@given(st.integers(min_value=1, max_value=20),
+       st.integers(min_value=1, max_value=60),
+       st.integers(min_value=1, max_value=60))
+@settings(max_examples=150, deadline=None)
+def test_families_match_ed_sum_far_from_square(k, p, q):
+    # |two_d| up to 59; closed_char_ed shares no code with corollary_poly
+    two_d = q - p
+    want = closed_char_ed(k, Fraction(p + q, 2), Fraction(two_d, 2),
+                          "odd" if two_d % 2 else "even")
+    assert _family_reconstruction(k, p, q) == want

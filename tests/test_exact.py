@@ -6,12 +6,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rectchar.exact import (
-    HalfInt,
-    ZeroFactorInReciprocalRange,
     catalan,
     double_factorial,
     double_rising_factorial,
-    extended_product,
     falling_factorial,
 )
 
@@ -60,51 +57,3 @@ def test_catalan_values():
 @given(st.integers(min_value=1, max_value=40))
 def test_catalan_recurrence(m):
     assert (m + 1) * catalan(m) == 2 * (2 * m - 1) * catalan(m - 1)
-
-
-def test_halfint_parity_and_values():
-    d = HalfInt(3)
-    assert not d.is_integer
-    assert HalfInt(4).is_integer
-    assert d.as_fraction() == Fraction(3, 2)
-    assert d.squared() == Fraction(9, 4)
-    assert abs(HalfInt(-3)) == d
-    assert -d == HalfInt(-3)
-
-
-def test_halfint_compares_with_numbers():
-    assert HalfInt(4) == 2
-    assert HalfInt(3) == Fraction(3, 2)
-    assert HalfInt(3) != 2
-    assert hash(HalfInt(4)) == hash(Fraction(2))
-    assert hash(HalfInt(3)) == hash(Fraction(3, 2))
-
-
-def test_extended_product_ordinary_and_empty():
-    assert extended_product(lambda r: r + 1, 2) == 6
-    assert extended_product(lambda r: r + 1, -1) == 1
-    assert extended_product(lambda r: r, 3, 1) == 6
-    assert extended_product(lambda r: r, 0, 1) == 1
-
-
-def test_extended_product_reciprocal():
-    assert extended_product(lambda r: r + 5, -3) == Fraction(1, 12)
-    assert extended_product(lambda r: r, 0, 3) == Fraction(1, 2)
-    with pytest.raises(ZeroFactorInReciprocalRange):
-        extended_product(lambda r: r + 1, -4)
-
-
-@given(st.integers(min_value=-6, max_value=5))
-def test_extended_product_recurrence(upper):
-    def factor(r):
-        return Fraction(2 * r + 15, 7)
-    assert (extended_product(factor, upper + 1)
-            == extended_product(factor, upper) * factor(upper + 1))
-
-
-@given(st.integers(min_value=-5, max_value=6), st.integers(min_value=-2, max_value=3))
-def test_extended_product_shifted_lower(upper, lower):
-    def factor(r):
-        return Fraction(3 * r + 20, 11)
-    assert (extended_product(factor, upper + 1, lower)
-            == extended_product(factor, upper, lower) * factor(upper + 1))
