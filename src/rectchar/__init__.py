@@ -18,7 +18,6 @@ from .closed import (
     minus_one_row_char,
 )
 from .exact import (
-    Scalar,
     catalan,
     double_factorial,
     double_rising_factorial,
@@ -34,9 +33,6 @@ from .mn import (
 from ._poly import BiPoly, DEPoly, JNPoly
 from .stanley import (
     BasisMismatch,
-    GroupRingElem,
-    Perm,
-    cycle_type_representative,
     decompose_even_basis,
     jm_factorization_check,
     stanley_eval,
@@ -59,13 +55,10 @@ __all__ = [
     "BasisMismatch",
     "BiPoly",
     "DEPoly",
-    "GroupRingElem",
     "JNPoly",
     "OutOfRange",
     "Partition",
-    "Perm",
     "RimHook",
-    "Scalar",
     "SizeMismatch",
     "catalan",
     "ch_rect_fast",
@@ -74,7 +67,6 @@ __all__ = [
     "coeff_f",
     "coeff_g",
     "corollary_poly",
-    "cycle_type_representative",
     "decompose_even_basis",
     "dim_f",
     "double_factorial",

@@ -203,7 +203,9 @@ def ch_rect_fast(k_cycle: int, p: int, q: int) -> int:
     Evaluates the closed formula in the integer coordinates S = p + q and
     D = q - p: O(k_cycle) integer multiplications on numbers of
     O(k_cycle log n) digits, whatever |q - p| is, and one checked exact
-    division at the end.
+    division at the end.  A cycle of length p + q or more is 0 at once:
+    the largest hook of p x q has length p + q - 1, so no rim hook of that
+    length exists.
 
     >>> ch_rect_fast(3, 2, 2)
     -12
@@ -220,6 +222,8 @@ def ch_rect_fast(k_cycle: int, p: int, q: int) -> int:
         raise ValueError("cycle length must be positive")
     if p < 1 or q < 1:
         raise ValueError("rectangle sides must be positive")
+    if k_cycle >= p + q:
+        return 0
     s2 = (p + q) ** 2
     dd = q - p
     d2 = dd * dd

@@ -15,20 +15,16 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
-from typing import Union
 
 __all__ = [
-    "Scalar",
     "falling_factorial",
     "double_rising_factorial",
     "double_factorial",
     "catalan",
 ]
 
-Scalar = Union[int, Fraction]
 
-
-def falling_factorial(a: Scalar, k: int) -> Scalar:
+def falling_factorial(a: int | Fraction, k: int) -> int | Fraction:
     """a (a - 1) ... (a - k + 1), with the empty product equal to 1.
 
     >>> falling_factorial(6, 2)
@@ -38,13 +34,13 @@ def falling_factorial(a: Scalar, k: int) -> Scalar:
     """
     if k < 0:
         raise ValueError("k must be non-negative")
-    out: Scalar = 1
+    out: int | Fraction = 1
     for i in range(k):
         out *= a - i
     return out
 
 
-def double_rising_factorial(a: Scalar, k: int) -> Scalar:
+def double_rising_factorial(a: int | Fraction, k: int) -> int | Fraction:
     """a (a + 2) (a + 4) ... (a + 2(k - 1)), with the empty product equal to 1.
 
     >>> double_rising_factorial(3, 2)
@@ -52,7 +48,7 @@ def double_rising_factorial(a: Scalar, k: int) -> Scalar:
     """
     if k < 0:
         raise ValueError("k must be non-negative")
-    out: Scalar = 1
+    out: int | Fraction = 1
     for i in range(k):
         out *= a + 2 * i
     return out

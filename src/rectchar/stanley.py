@@ -20,13 +20,14 @@ k!, with no k! term in the cost.
 
 The module also carries the change of variables to (D, E) coordinates,
 the expansion in the even basis prod (D^2 - r^2), and the Jucys-Murphy
-factorization check in the integer group ring.
+factorization check in the integer group ring, on image tuples.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import permutations
 from math import comb, factorial
 
 from ._poly import BiPoly, DEPoly
@@ -34,12 +35,9 @@ from .mn import character_mn
 from .young import Partition, dim_f, partitions
 
 __all__ = [
-    "Perm",
-    "GroupRingElem",
     "BiPoly",
     "DEPoly",
     "BasisMismatch",
-    "cycle_type_representative",
     "stanley_eval",
     "stanley_poly",
     "substitute_ed",
@@ -50,159 +48,6 @@ __all__ = [
 
 class BasisMismatch(ValueError):
     """The polynomial does not fit the requested even basis."""
-
-
-class Perm:
-    """A permutation of {1..k} in one-line form: images[i-1] = sigma(i).
-
-    >>> (Perm((2, 1, 3)) * Perm((1, 3, 2))).images
-    (2, 3, 1)
-    """
-
-    __slots__ = ("images",)
-
-    def __init__(self, images) -> None:
-        imgs = tuple(int(x) for x in images)
-        if sorted(imgs) != list(range(1, len(imgs) + 1)):
-            raise ValueError(f"not a permutation of 1..{len(imgs)}: {imgs}")
-        self.images = imgs
-
-    @classmethod
-    def identity(cls, k: int) -> "Perm":
-        return cls(range(1, k + 1))
-
-    @classmethod
-    def transposition(cls, k: int, a: int, b: int) -> "Perm":
-        if not (1 <= a <= k and 1 <= b <= k and a != b):
-            raise ValueError(f"bad transposition ({a}, {b}) in S_{k}")
-        imgs = list(range(1, k + 1))
-        imgs[a - 1], imgs[b - 1] = b, a
-        return cls(imgs)
-
-    @property
-    def size(self) -> int:
-        return len(self.images)
-
-    def __call__(self, i: int) -> int:
-        return self.images[i - 1]
-
-    def __mul__(self, other: "Perm") -> "Perm":
-        if self.size != other.size:
-            raise ValueError("sizes differ")
-        return Perm(self.images[x - 1] for x in other.images)
-
-    def inverse(self) -> "Perm":
-        inv = [0] * self.size
-        for i, x in enumerate(self.images):
-            inv[x - 1] = i + 1
-        return Perm(inv)
-
-    def cycle_count(self) -> int:
-        seen = [False] * self.size
-        count = 0
-        for i in range(self.size):
-            if not seen[i]:
-                count += 1
-                j = i
-                while not seen[j]:
-                    seen[j] = True
-                    j = self.images[j] - 1
-        return count
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, Perm):
-            return self.images == other.images
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.images)
-
-    def __repr__(self) -> str:
-        return f"Perm({self.images!r})"
-
-
-class GroupRingElem:
-    """A finitely supported integer combination of permutations of {1..k}."""
-
-    __slots__ = ("k", "coeffs")
-
-    def __init__(self, k: int, coeffs=None) -> None:
-        self.k = k
-        clean: dict[Perm, int] = {}
-        for perm, c in (coeffs or {}).items():
-            if perm.size != k:
-                raise ValueError(f"permutation size {perm.size} in ring over S_{k}")
-            if c:
-                clean[perm] = clean.get(perm, 0) + c
-                if clean[perm] == 0:
-                    del clean[perm]
-        self.coeffs = clean
-
-    @classmethod
-    def zero(cls, k: int) -> "GroupRingElem":
-        return cls(k)
-
-    @classmethod
-    def one(cls, k: int) -> "GroupRingElem":
-        return cls(k, {Perm.identity(k): 1})
-
-    @classmethod
-    def basis(cls, perm: Perm) -> "GroupRingElem":
-        return cls(perm.size, {perm: 1})
-
-    def __add__(self, other: "GroupRingElem") -> "GroupRingElem":
-        if self.k != other.k:
-            raise ValueError("sizes differ")
-        merged = dict(self.coeffs)
-        for perm, c in other.coeffs.items():
-            merged[perm] = merged.get(perm, 0) + c
-        return GroupRingElem(self.k, merged)
-
-    def __neg__(self) -> "GroupRingElem":
-        return GroupRingElem(self.k, {p: -c for p, c in self.coeffs.items()})
-
-    def __sub__(self, other: "GroupRingElem") -> "GroupRingElem":
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return GroupRingElem(self.k, {p: c * other for p, c in self.coeffs.items()})
-        if not isinstance(other, GroupRingElem):
-            return NotImplemented
-        if self.k != other.k:
-            raise ValueError("sizes differ")
-        acc: dict[Perm, int] = {}
-        for p1, c1 in self.coeffs.items():
-            for p2, c2 in other.coeffs.items():
-                prod = p1 * p2
-                acc[prod] = acc.get(prod, 0) + c1 * c2
-        return GroupRingElem(self.k, acc)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, GroupRingElem):
-            return self.k == other.k and self.coeffs == other.coeffs
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return f"GroupRingElem({self.k}, {self.coeffs!r})"
-
-
-def cycle_type_representative(pi) -> Perm:
-    """The permutation whose cycles fill consecutive blocks, largest first.
-
-    >>> cycle_type_representative(Partition((3, 2))).images
-    (2, 3, 1, 5, 4)
-    """
-    pi = Partition(pi)
-    images: list[int] = []
-    start = 1
-    for part in pi.parts:
-        images.extend(range(start + 1, start + part))
-        images.append(start)
-        start += part
-    return Perm(images)
 
 
 def _content_product(parts: tuple[int, ...]) -> list[int]:
@@ -383,23 +228,28 @@ def jm_factorization_check(k: int) -> bool:
     """Whether (1 + J_1)(1 + J_2) ... (1 + J_k) equals the sum of all of S_k.
 
     J_i = (1,i) + (2,i) + ... + (i-1,i) are the Jucys-Murphy elements of
-    the integer group ring; J_1 is the empty sum.
+    the integer group ring; J_1 is the empty sum.  A group-ring element is
+    a dict from image tuples to coefficients, and sigma (a, i) is sigma's
+    image tuple with positions a and i swapped.
 
     >>> jm_factorization_check(3)
     True
     """
     if k < 1:
         raise ValueError("k must be positive")
-    product = GroupRingElem.one(k)
-    for i in range(2, k + 1):
-        factor = GroupRingElem.one(k)
-        for a in range(1, i):
-            factor = factor + GroupRingElem.basis(Perm.transposition(k, a, i))
-        product = product * factor
-    from itertools import permutations as _perms
-    expected = GroupRingElem(
-        k, {Perm(images): 1 for images in _perms(range(1, k + 1))})
-    return product == expected
+    product = {tuple(range(k)): 1}
+    for i in range(1, k):
+        step: dict[tuple[int, ...], int] = {}
+        for sigma, c in product.items():
+            step[sigma] = step.get(sigma, 0) + c
+            images = list(sigma)
+            for a in range(i):
+                images[a], images[i] = images[i], images[a]
+                swapped = tuple(images)
+                step[swapped] = step.get(swapped, 0) + c
+                images[a], images[i] = images[i], images[a]
+        product = step
+    return product == dict.fromkeys(permutations(range(k)), 1)
 
 
 if __name__ == "__main__":

@@ -6,7 +6,6 @@ functions accept either a Partition or any iterable of parts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 from typing import Iterable, Iterator
@@ -82,7 +81,6 @@ class Partition:
         return "[" + ",".join(str(x) for x in self.parts) + "]"
 
 
-@dataclass(frozen=True)
 class RimHook:
     """A removable border strip, recorded by what it leaves behind.
 
@@ -90,8 +88,14 @@ class RimHook:
     the sign it contributes in character recursions.
     """
 
-    remainder: Partition
-    height: int
+    __slots__ = ("remainder", "height")
+
+    def __init__(self, remainder: Partition, height: int) -> None:
+        self.remainder = remainder
+        self.height = height
+
+    def __repr__(self) -> str:
+        return f"RimHook(remainder={self.remainder!r}, height={self.height})"
 
 
 def rectangle(p: int, q: int) -> Partition:

@@ -109,6 +109,18 @@ def _cycle_count(images) -> int:
     return count
 
 
+def cycle_type_representative(parts: tuple[int, ...]) -> list[int]:
+    """The permutation of 0..k-1 whose cycles fill consecutive blocks in the
+    order of the parts, as its list of images."""
+    images: list[int] = []
+    start = 0
+    for part in parts:
+        images.extend(range(start + 1, start + part))
+        images.append(start)
+        start += part
+    return images
+
+
 def factorization_table(w) -> list[list[int]]:
     """Joint cycle-count table of all factorizations s1 s2 = w, by brute force.
 

@@ -3,13 +3,16 @@
 import csv
 import io
 import json
+import sys
 
 import pytest
 
+from rectchar._poly import BiPoly
 from rectchar.closed import ch_rect_fast
-from rectchar.cli import FAMILY_CAP, JM_CAP, main
+from rectchar.cli import FAMILY_CAP, JM_CAP, TRANSPOSE_CAP, main
 from rectchar.mn import normalized_character
 from rectchar.stanley import stanley_eval
+from rectchar.young import partitions
 
 
 def run(capsys, *argv):
@@ -73,6 +76,52 @@ def test_eval_csv(capsys):
     assert row[1] == "3"
     assert row[2:4] == ["2", "2"]
     assert row[5] == "-12"
+
+
+# ch_rect_fast(2999, 3000, 3001) has 11,328 digits, past the 4300 that
+# Python 3.11 converts between int and str by default
+BIG = ("--cycle", "2999", "--p", "3000", "--q", "3001")
+
+
+def parse_past_the_digit_limit(text):
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    if set_limit is None:
+        return int(text)
+    limit = sys.get_int_max_str_digits()
+    set_limit(0)
+    try:
+        return int(text)
+    finally:
+        set_limit(limit)
+
+
+def test_eval_prints_values_past_4300_digits(capsys):
+    want = ch_rect_fast(2999, 3000, 3001)
+    assert abs(want) > 10 ** 4300
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+
+    code, out, err = run(capsys, "eval", "--method", "closed", *BIG)
+    assert code == 0 and err == ""
+    assert parse_past_the_digit_limit(table_fields(out)["value"]) == want
+
+    code, out, _ = run(capsys, "eval", "--method", "closed", *BIG,
+                       "--format", "json")
+    assert code == 0
+    assert parse_past_the_digit_limit(json.loads(out)["value"]) == want
+
+    code, out, _ = run(capsys, "eval", "--method", "closed", *BIG,
+                       "--format", "csv")
+    assert code == 0
+    row = list(csv.reader(io.StringIO(out)))[1]
+    assert parse_past_the_digit_limit(row[5]) == want
+
+    code, out, _ = run(capsys, "bench", "--k", "2999",
+                       "--p", "3000", "--q", "3001")
+    assert code == 0
+    row = list(csv.reader(io.StringIO(out)))[1]
+    assert parse_past_the_digit_limit(row[5]) == want
+    # main puts the interpreter's limit back
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
 
 def test_eval_cap_violations(capsys):
@@ -158,6 +207,27 @@ def test_verify_jm_suite_stops_at_its_cap(capsys, monkeypatch):
     assert code == 0
     assert sizes == list(range(1, JM_CAP + 1))
     assert out.splitlines()[-1] == f"verify: {JM_CAP} passed, 0 failed"
+
+
+def test_verify_transpose_oracle_stops_at_its_cap(capsys, monkeypatch):
+    sizes = set()
+
+    def counting_character(pi, shape):
+        sizes.add(pi.size)
+        return 0
+
+    monkeypatch.setattr("rectchar.cli.normalized_character",
+                        counting_character)
+    monkeypatch.setattr("rectchar.cli.stanley_poly",
+                        lambda pi: BiPoly.zero())
+    code, out, _ = run(capsys, "verify", "--suite", "transpose",
+                       "--k-max", str(TRANSPOSE_CAP + 2), "--pq-max", "2")
+    assert code == 0
+    assert sizes == set(range(1, TRANSPOSE_CAP + 1))
+    oracle_lines = [line for line in out.splitlines()
+                    if line.startswith("PASS transpose oracle")]
+    assert len(oracle_lines) == sum(
+        1 for size in range(1, TRANSPOSE_CAP + 1) for _ in partitions(size))
 
 
 def test_verify_all_suites_small_bounds(capsys):

@@ -186,6 +186,21 @@ def test_ch_rect_fast_matches_oracle():
                 assert ch_rect_fast(k, p, q) == want, (k, p, q)
 
 
+def test_ch_rect_fast_around_the_longest_hook_matches_oracle():
+    # the longest hook of p x q has length p + q - 1
+    for p in range(1, 61):
+        for q in range(1, 60 // p + 1):
+            for k in range(p + q - 1, p + q + 2):
+                want = normalized_character(Partition((k,)), rectangle(p, q))
+                assert ch_rect_fast(k, p, q) == want, (k, p, q)
+
+
+def test_ch_rect_fast_past_the_longest_hook_is_instant():
+    started = time.perf_counter()
+    assert ch_rect_fast(100001, 400, 400) == 0
+    assert time.perf_counter() - started < 0.1
+
+
 def test_ch_rect_fast_reciprocal_regime():
     # j <= |d| sends the trailing product into its reciprocal range
     assert ch_rect_fast(1, 1, 9) == 9
