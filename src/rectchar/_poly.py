@@ -8,12 +8,10 @@ half-cycle index and N the box count (graded with deg J = 1, deg N = 2).
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
 
 __all__ = ["BiPoly", "DEPoly", "JNPoly"]
-
-Coeff = Union[int, Fraction]
 
 
 class _Poly2:
@@ -44,7 +42,7 @@ class _Poly2:
         return cls()
 
     @classmethod
-    def constant(cls, c: Coeff):
+    def constant(cls, c: "int | Fraction"):
         return cls({(0, 0): c})
 
     # queries ----------------------------------------------------------------
@@ -52,7 +50,7 @@ class _Poly2:
     def terms(self) -> dict:
         return dict(self._terms)
 
-    def coefficient(self, i: int, j: int) -> Coeff:
+    def coefficient(self, i: int, j: int) -> "int | Fraction":
         return self._terms.get((i, j), 0)
 
     def is_zero(self) -> bool:
@@ -180,7 +178,7 @@ class _Poly2:
             pieces.append(self.VARS[1] if j == 1 else f"{self.VARS[1]}^{j}")
         return "*".join(pieces)
 
-    def _term_text(self, coeff: Coeff, mono: str) -> str:
+    def _term_text(self, coeff: "int | Fraction", mono: str) -> str:
         # explicit coefficient on every term, matching "-1*P^2*Q + 1*P*Q^2"
         if not mono:
             return str(coeff)
@@ -270,7 +268,7 @@ class JNPoly(_Poly2):
         i, j = key
         return (-(i + 2 * j), -j, -i)
 
-    def _term_text(self, coeff: Coeff, mono: str) -> str:
+    def _term_text(self, coeff: "int | Fraction", mono: str) -> str:
         if not mono:
             return str(coeff)
         if coeff == 1:

@@ -2,12 +2,19 @@
 
 Evaluation methods
   oracle    Murnaghan-Nakayama recursion over the non-unit parts of the
-            cycle type; capped at n = p q <= 60, where the dearest types,
-            twenty 2- or 3-cycles, take about 0.1 s.
+            cycle type, memoized across calls on (remaining shape,
+            remaining parts); capped at n = p q <= 60, where the dearest
+            types, twenty 2- or 3-cycles, take about 0.1 s cold.
   stanley   signed factorization sum over the Jucys-Murphy content table;
             capped at cycle types of size <= 16, where the dearest type,
             1^16, builds its table in about 0.1 s.
-  closed    product formulas; single cycles only, no size cap.
+  closed    product formulas; single cycles of length <= 3000 only.  The
+            sum stops once q - p cuts it short, so near-square rectangles
+            are cheap (about 10 ms at k = 3000 on 3001 x 3002) and
+            |q - p| >= k is the dearest case: at k = 3000 about 1.2 s on
+            sides below 10^4, 2 s near 10^6 and 5 s on 1 x 10^12.  The cost
+            grows about as k^2.6 and with the digits of the sides.  bench
+            refuses the same cycle lengths.
 
 poly --kind G|H|I|J is capped at |two_d| <= 120, where a family polynomial
 takes about 0.1 s to build and print; its cost grows about as |two_d|^3.
@@ -15,7 +22,11 @@ verify runs the jm suite for k <= 7 only, whatever --k-max says: the check
 builds all k! elements of S_k, about 5 ms at k = 7 and 60 ms at k = 8.  Its
 transpose suite checks the oracle on cycle types of size <= 10 only: on
 every rectangle with p q <= 60 that loop takes about 1.3 s at size 10
-(0.2 s at --pq-max 8) and grows about 1.4x per step.
+(0.2 s at --pq-max 8) and grows about 1.4x per step.  Its integrality
+suite builds the family polynomials for |two_d| <= min(2 --k-max, 120)
+only: all of them, at the cap, take about 11 s.  Its oracle-match suite
+checks single cycles of length <= 61 only: every rectangle it admits has
+at most 60 boxes, so both sides are 0 past that.
 
 Exit codes: 0 on success, 1 when a verification or cross-check fails, 2 on
 usage errors including cap violations.
@@ -50,11 +61,12 @@ from .stanley import (
 )
 from .young import Partition, partitions, rectangle
 
-__all__ = ["main", "STANLEY_CAP", "ORACLE_CAP", "FAMILY_CAP", "JM_CAP",
-           "TRANSPOSE_CAP"]
+__all__ = ["main", "STANLEY_CAP", "ORACLE_CAP", "CLOSED_CAP", "FAMILY_CAP",
+           "JM_CAP", "TRANSPOSE_CAP"]
 
 STANLEY_CAP = 16
 ORACLE_CAP = 60
+CLOSED_CAP = 3000
 FAMILY_CAP = 120
 JM_CAP = 7
 TRANSPOSE_CAP = 10
@@ -118,6 +130,10 @@ def _cmd_eval(args) -> int:
     if args.method == "closed" and pi.length != 1:
         print("eval: the closed method handles a single cycle only",
               file=sys.stderr)
+        return 2
+    if args.method == "closed" and pi.size > CLOSED_CAP:
+        print(f"eval: the closed method is capped at cycles of length "
+              f"<= {CLOSED_CAP}, got {pi.size}", file=sys.stderr)
         return 2
     start = time.perf_counter_ns()
     if args.method == "oracle":
@@ -204,7 +220,8 @@ def _suite_oracle_match(args) -> list:
                     return got == want or f"stanley={got} oracle={want}"
                 cases.append((f"oracle-match stanley pi={pi} p={p} q={q}",
                               check))
-    for k in range(1, args.k_max + 1):
+    # past ORACLE_CAP + 1 both sides are 0 on every rectangle admitted here
+    for k in range(1, min(args.k_max, ORACLE_CAP + 1) + 1):
         for p in range(1, args.pq_max + 1):
             for q in range(1, args.pq_max + 1):
                 if p * q > ORACLE_CAP:
@@ -244,8 +261,8 @@ def _suite_transpose(args) -> list:
 
 def _suite_integrality(args) -> list:
     cases = []
-    span = 2 * args.k_max
-    for two_d in range(-span, span + 1):
+    top = min(2 * args.k_max, FAMILY_CAP)
+    for two_d in range(-top, top + 1):
         for parity in ("odd", "even"):
             def check(two_d=two_d, parity=parity):
                 poly = corollary_poly(two_d, parity)
@@ -253,6 +270,7 @@ def _suite_integrality(args) -> list:
                            for c in poly.terms().values())
             cases.append(
                 (f"integrality family two_d={two_d} parity={parity}", check))
+    span = 2 * args.k_max
     for d in range(-span, span + 1):
         def check(d=d, k_max=args.k_max):
             return all(integrality_witness(d, k).denominator == 1
@@ -401,6 +419,10 @@ def _cmd_verify(args) -> int:
 # bench ------------------------------------------------------------------------
 
 def _cmd_bench(args) -> int:
+    if args.k[-1] > CLOSED_CAP:
+        print(f"bench: the closed method is capped at cycles of length "
+              f"<= {CLOSED_CAP}, got {args.k[-1]}", file=sys.stderr)
+        return 2
     p, q = args.p, args.q
     n = p * q
     rows = []

@@ -4,8 +4,11 @@ There is one rim-hook recursion.  It removes a rim hook for each part of
 the cycle type greater than 1, largest part first, and closes every branch
 with f of the remaining shape: the character at the identity class is the
 number of standard tableaux.  Fixed points cost nothing, so the cost is one
-hook removal per non-unit part, memoized per call on the remaining shape,
-whatever the size of the diagram.  character_mn, one_cycle_character and
+hook removal per non-unit part, whatever the size of the diagram.  The
+recursion runs on plain tuples and is memoized for the life of the process
+on (remaining shape, remaining non-unit parts), so a later call that meets
+a subproblem an earlier one solved, such as the same rectangle at the same
+cycle type, reuses it.  character_mn, one_cycle_character and
 normalized_character all run it.  normalized_character is the degree-k
 falling-factorial normalization that turns character ratios into
 polynomial data.
@@ -17,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exact import falling_factorial
-from .young import Partition, RimHook, _dim_from_parts, rim_hooks_of_length
+from .young import Partition, _dim_from_parts, _strips
 
 __all__ = [
     "SizeMismatch",
@@ -37,39 +40,25 @@ class OutOfRange(ValueError):
 
 
 @lru_cache(maxsize=None)
-def _hooks(parts: tuple[int, ...], k: int) -> tuple[RimHook, ...]:
-    return tuple(rim_hooks_of_length(Partition(parts), k))
-
-
 def _character(shape: tuple[int, ...], cycles: tuple[int, ...]) -> int:
     # the character of shape at cycles completed with fixed points; cycles
     # is weakly decreasing and fits inside the shape
-    memo: dict[tuple[tuple[int, ...], int], int] = {}
-    last = len(cycles)
-
-    def rec(sub: tuple[int, ...], idx: int) -> int:
-        if idx == last:
-            return _dim_from_parts(sub)
-        key = (sub, idx)
-        known = memo.get(key)
-        if known is not None:
-            return known
-        total = 0
-        for hook in _hooks(sub, cycles[idx]):
-            value = rec(hook.remainder.parts, idx + 1)
-            total += -value if hook.height % 2 else value
-        memo[key] = total
-        return total
-
-    return rec(shape, 0)
+    if not cycles:
+        return _dim_from_parts(shape)
+    rest = cycles[1:]
+    total = 0
+    for remainder, height in _strips(shape, cycles[0]):
+        value = _character(remainder, rest)
+        total += -value if height % 2 else value
+    return total
 
 
 def character_mn(shape, cycle_type) -> int:
     """Irreducible character of the shape, evaluated at the cycle type.
 
     A rim hook is removed for each part greater than 1, largest part first,
-    with results memoized per call on the remaining shape and the position
-    in the part list; each branch ends in f of what is left.  The cost
+    with results memoized across calls on the remaining shape and the parts
+    still to remove; each branch ends in f of what is left.  The cost
     depends on the non-unit parts and their hook counts, not on the number
     of fixed points.
 

@@ -31,8 +31,8 @@ from itertools import permutations
 from math import comb, factorial
 
 from ._poly import BiPoly, DEPoly
-from .mn import character_mn
-from .young import Partition, dim_f, partitions
+from .mn import _character
+from .young import Partition, _dim_from_parts, partitions
 
 __all__ = [
     "BiPoly",
@@ -76,9 +76,10 @@ def _joint_cycle_table(parts: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     with one checked exact division by k! at the end.
     """
     k = sum(parts)
+    nonunit = tuple(x for x in parts if x > 1)
     acc = [[0] * (k + 1) for _ in range(k + 1)]
     for lam in partitions(k):
-        weight = dim_f(lam) * character_mn(lam, parts)
+        weight = _dim_from_parts(lam.parts) * _character(lam.parts, nonunit)
         if not weight:
             continue
         coeffs = _content_product(lam.parts)
@@ -109,24 +110,28 @@ def stanley_eval(pi, p, q):
         raise ValueError("cycle type must be non-empty")
     table = _joint_cycle_table(pi.parts)
     k = pi.size
-    sign = -1 if k % 2 else 1
-    # With p = a/b and q = c/d, every term count (-q)^c1 p^c2 is an integer
-    # over (b d)^k, so the sum runs in integers and divides once.
-    p_frac, q_frac = Fraction(p), Fraction(q)
-    a, b = p_frac.numerator, p_frac.denominator
-    c, d = -q_frac.numerator, q_frac.denominator
-    p_terms = [a ** i * b ** (k - i) for i in range(k + 1)]
-    total = 0
-    for c1, row in enumerate(table):
-        inner = 0
-        for c2, count in enumerate(row):
-            if count:
-                inner += count * p_terms[c2]
-        if inner:
-            total += inner * c ** c1 * d ** (k - c1)
-    if isinstance(p, int) and isinstance(q, int):
-        return sign * total
-    return Fraction(sign * total, (b * d) ** k)
+    # With p = a/b and -q = c/d, (b d)^k times the value is an integer: one
+    # homogeneous Horner pass over the table, in c1 with (c, d) outside and
+    # in c2 with (a, b) inside, then one division.  Int sides have b = d = 1
+    # and build no Fraction.
+    sides_are_ints = isinstance(p, int) and isinstance(q, int)
+    if not sides_are_ints:
+        p, q = Fraction(p), Fraction(q)
+    a, b = p.numerator, p.denominator
+    c, d = -q.numerator, q.denominator
+    total, d_power = 0, 1
+    for row in reversed(table):
+        inner, b_power = 0, 1
+        for count in reversed(row):
+            inner = inner * a + count * b_power
+            b_power *= b
+        total = total * c + inner * d_power
+        d_power *= d
+    if k % 2:
+        total = -total
+    if sides_are_ints:
+        return total
+    return Fraction(total, (b * d) ** k)
 
 
 def stanley_poly(pi) -> BiPoly:

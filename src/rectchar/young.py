@@ -6,9 +6,9 @@ functions accept either a Partition or any iterable of parts.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from functools import lru_cache
 from math import factorial
-from typing import Iterable, Iterator
 
 __all__ = [
     "Partition",
@@ -165,22 +165,43 @@ def rim_hooks_of_length(shape, k: int) -> list[RimHook]:
     lam = Partition(shape).parts
     if k < 1:
         raise ValueError("hook length must be positive")
+    return [RimHook(Partition(rest), height)
+            for rest, height in _strips(lam, k)]
+
+
+@lru_cache(maxsize=None)
+def _strips(parts: tuple[int, ...], k: int) -> tuple:
+    """(remainder, height) of every k-cell border strip of a valid shape.
+
+    The remainders are plain tuples, partitions by construction, and come in
+    the order rim_hooks_of_length documents.  A strip from row s to row t
+    has a cell in each of those rows, so only t < s + k is tried.  Cached
+    for the life of the process, so strips found for one shape serve every
+    later call on it.
+    """
     found = []
-    rows = len(lam)
-    for s in range(rows):
-        for t in range(s, rows):
-            nu_t = lam[s] + (t - s) - k
-            below = lam[t + 1] if t + 1 < rows else 0
-            if nu_t < below or nu_t > lam[t] - 1:
-                continue
-            rest = list(lam)
-            for r in range(s, t):
-                rest[r] = lam[r + 1] - 1
-            rest[t] = nu_t
-            remainder = Partition(x for x in rest if x > 0)
-            found.append((lam[s], s, RimHook(remainder, t - s)))
-    found.sort(key=lambda item: (-item[0], -item[1]))
-    return [hook for _, _, hook in found]
+    rows = len(parts)
+    top = 0
+    while top < rows:
+        # rows top..bottom have equal length: same starting column, so the
+        # lower starting row comes first
+        bottom = top
+        while bottom + 1 < rows and parts[bottom + 1] == parts[top]:
+            bottom += 1
+        for s in range(bottom, top - 1, -1):
+            for t in range(s, min(rows, s + k)):
+                nu_t = parts[s] + (t - s) - k
+                below = parts[t + 1] if t + 1 < rows else 0
+                if below <= nu_t < parts[t]:
+                    # rows s..t-1 take the next row's length less one; rows
+                    # that drop to 0 are the last ones, so they are left off
+                    rest = (parts[:s]
+                            + tuple(x - 1 for x in parts[s + 1:t + 1] if x > 1)
+                            + ((nu_t,) if nu_t else ()) + parts[t + 1:])
+                    found.append((rest, t - s))
+                    break  # the starting cell and k fix the strip
+        top = bottom + 1
+    return tuple(found)
 
 
 def partitions(n: int, max_part: "int | None" = None) -> Iterator[Partition]:

@@ -4,12 +4,20 @@ import csv
 import io
 import json
 import sys
+from fractions import Fraction
 
 import pytest
 
 from rectchar._poly import BiPoly
 from rectchar.closed import ch_rect_fast
-from rectchar.cli import FAMILY_CAP, JM_CAP, TRANSPOSE_CAP, main
+from rectchar.cli import (
+    CLOSED_CAP,
+    FAMILY_CAP,
+    JM_CAP,
+    ORACLE_CAP,
+    TRANSPOSE_CAP,
+    main,
+)
 from rectchar.mn import normalized_character
 from rectchar.stanley import stanley_eval
 from rectchar.young import partitions
@@ -138,6 +146,27 @@ def test_eval_cap_violations(capsys):
     assert code == 2 and "single cycle" in err
 
 
+def test_closed_method_cap(capsys):
+    for argv in (("eval", "--method", "closed", "--cycle", str(CLOSED_CAP + 1),
+                  "--p", "2", "--q", "2"),
+                 ("bench", "--k", f"3,{CLOSED_CAP + 1}")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and f"<= {CLOSED_CAP}" in err
+
+    # at the cap, on a near-square rectangle, where the sum is short
+    side = ("--p", str(CLOSED_CAP), "--q", str(CLOSED_CAP + 1))
+    code, out, _ = run(capsys, "eval", "--method", "closed",
+                       "--cycle", str(CLOSED_CAP), *side, "--format", "json")
+    assert code == 0
+    value = parse_past_the_digit_limit(json.loads(out)["value"])
+    assert value == ch_rect_fast(CLOSED_CAP, CLOSED_CAP, CLOSED_CAP + 1)
+    code, out, _ = run(capsys, "bench", "--k", f"3,{CLOSED_CAP}", *side)
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert [(row[0], row[1]) for row in rows[1:]] == [
+        ("closed", "3"), ("stanley", "3"), ("closed", str(CLOSED_CAP))]
+
+
 def test_eval_rejects_bad_cycle_type(capsys):
     code, _, err = run(capsys, "eval", "--method", "oracle",
                        "--cycle", "0", "--p", "2", "--q", "2")
@@ -228,6 +257,43 @@ def test_verify_transpose_oracle_stops_at_its_cap(capsys, monkeypatch):
                     if line.startswith("PASS transpose oracle")]
     assert len(oracle_lines) == sum(
         1 for size in range(1, TRANSPOSE_CAP + 1) for _ in partitions(size))
+
+
+def test_verify_integrality_families_stop_at_their_cap(capsys, monkeypatch):
+    seen = set()
+
+    def counting_poly(two_d, parity):
+        seen.add(abs(two_d))
+        return BiPoly.zero()
+
+    monkeypatch.setattr("rectchar.cli.corollary_poly", counting_poly)
+    monkeypatch.setattr("rectchar.cli.integrality_witness",
+                        lambda d, k: Fraction(1))
+    code, _, _ = run(capsys, "verify", "--suite", "integrality",
+                     "--k-max", "70")
+    assert code == 0
+    assert max(seen) == FAMILY_CAP == 120
+    assert seen == set(range(FAMILY_CAP + 1))
+
+
+def test_verify_oracle_match_closed_stops_at_its_cap(capsys, monkeypatch):
+    lengths = set()
+
+    def counting_closed(k, p, q):
+        lengths.add(k)
+        return 0
+
+    monkeypatch.setattr("rectchar.cli.ch_rect_fast", counting_closed)
+    monkeypatch.setattr("rectchar.cli.normalized_character",
+                        lambda pi, shape: 0)
+    monkeypatch.setattr("rectchar.cli.stanley_eval", lambda pi, p, q: 0)
+    code, out, _ = run(capsys, "verify", "--suite", "oracle-match",
+                       "--k-max", str(ORACLE_CAP + 5), "--pq-max", "2")
+    assert code == 0
+    assert lengths == set(range(1, ORACLE_CAP + 2))
+    closed_lines = [line for line in out.splitlines()
+                    if line.startswith("PASS oracle-match closed")]
+    assert len(closed_lines) == 4 * (ORACLE_CAP + 1)
 
 
 def test_verify_all_suites_small_bounds(capsys):

@@ -12,6 +12,7 @@ from rectchar.closed import ch_rect_fast
 from rectchar.mn import (
     OutOfRange,
     SizeMismatch,
+    _character,
     character_mn,
     normalized_character,
     one_cycle_character,
@@ -142,6 +143,19 @@ def test_many_two_cycles_stay_cheap():
     start = perf_counter()
     normalized_character(Partition((2,) * 10), rectangle(6, 10))
     assert perf_counter() - start < 0.1
+
+
+def test_values_do_not_depend_on_the_shared_cache():
+    # the recursion is memoized across calls; a cold cache gives the same
+    # values as one that earlier calls filled
+    cases = [(pi, p, q) for size in range(1, 7) for pi in partitions(size)
+             for p, q in ((2, 3), (3, 2), (4, 5), (6, 10))]
+    warm = [normalized_character(pi, rectangle(p, q)) for pi, p, q in cases]
+    _character.cache_clear()
+    assert _character.cache_info().currsize == 0
+    cold = [normalized_character(pi, rectangle(p, q)) for pi, p, q in cases]
+    assert cold == warm
+    assert cold == [stanley_eval(pi, p, q) for pi, p, q in cases]
 
 
 @st.composite

@@ -44,8 +44,8 @@ def test_joint_table_matches_bruteforce():
 
 def test_joint_table_refuses_a_sum_with_a_remainder(monkeypatch):
     # weight 1 on the one-row shape alone leaves x (x + 1) y (y + 1) / 2
-    monkeypatch.setattr("rectchar.stanley.character_mn",
-                        lambda lam, pi: 1 if lam.parts == (2,) else 0)
+    monkeypatch.setattr("rectchar.stanley._character",
+                        lambda lam, cycles: 1 if lam == (2,) else 0)
     with pytest.raises(ArithmeticError):
         _joint_cycle_table.__wrapped__((2,))
 
@@ -99,6 +99,17 @@ def test_stanley_eval_accepts_exact_non_integers():
     value = stanley_eval(Partition((2,)), Fraction(1, 2), 3)
     poly = stanley_poly(Partition((2,)))
     assert value == poly.evaluate(Fraction(1, 2), 3)
+
+
+def test_stanley_eval_is_an_int_exactly_at_int_sides():
+    for pi in _cycle_types(6):
+        at_ints = stanley_eval(pi, 3, 4)
+        assert type(at_ints) is int
+        for p, q in ((Fraction(3, 1), 4), (3, Fraction(4, 1)),
+                     (Fraction(3), Fraction(4))):
+            value = stanley_eval(pi, p, q)
+            assert type(value) is Fraction
+            assert value == at_ints, pi
 
 
 def test_stanley_poly_text():

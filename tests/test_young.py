@@ -1,6 +1,7 @@
 """Tests for partitions, rim hooks and dimensions."""
 
 from math import factorial
+from time import perf_counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,6 +9,7 @@ from hypothesis import given, strategies as st
 from bruteforce import border_strips, syt_count
 from rectchar.young import (
     Partition,
+    _strips,
     dim_f,
     partitions,
     rectangle,
@@ -103,12 +105,32 @@ def test_rim_hooks_examples():
 
 
 def test_rim_hooks_match_bruteforce():
-    for n in range(1, 9):
+    # the oracle's strip finder builds no Partition, so check here that
+    # every remainder is one
+    for n in range(1, 11):
         for lam in partitions(n):
             for k in range(1, n + 1):
-                got = {(h.remainder.parts, h.height)
-                       for h in rim_hooks_of_length(lam, k)}
-                assert got == border_strips(lam.parts, k), (lam, k)
+                got = _strips(lam.parts, k)
+                assert set(got) == border_strips(lam.parts, k), (lam, k)
+                assert len(got) == len(set(got)), (lam, k)
+                for rest, _ in got:
+                    assert Partition(rest).parts == rest, (lam, k)
+                    assert sum(rest) == n - k, (lam, k)
+                hooks = rim_hooks_of_length(lam, k)
+                assert [(h.remainder.parts, h.height) for h in hooks] \
+                    == list(got), (lam, k)
+
+
+def test_strips_span_at_most_k_rows():
+    # a 3-strip spans at most 3 rows; trying every pair of 2000 rows takes
+    # about 0.5 s
+    column = (1,) * 2000
+    start = perf_counter()
+    got = _strips.__wrapped__(column, 3)
+    assert perf_counter() - start < 0.1
+    assert got == (((1,) * 1997, 2),)
+    assert [(h.remainder.parts, h.height)
+            for h in rim_hooks_of_length(column, 3)] == list(got)
 
 
 def test_partitions_enumeration():
