@@ -41,11 +41,9 @@ from .stanley import (
 )
 from .young import (
     Partition,
-    RimHook,
     dim_f,
     partitions,
     rectangle,
-    rim_hooks_of_length,
     transpose,
 )
 
@@ -58,7 +56,6 @@ __all__ = [
     "JNPoly",
     "OutOfRange",
     "Partition",
-    "RimHook",
     "SizeMismatch",
     "catalan",
     "ch_rect_fast",
@@ -81,7 +78,6 @@ __all__ = [
     "one_cycle_character",
     "partitions",
     "rectangle",
-    "rim_hooks_of_length",
     "stanley_eval",
     "stanley_poly",
     "substitute_ed",

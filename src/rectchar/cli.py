@@ -8,25 +8,27 @@ Evaluation methods
   stanley   signed factorization sum over the Jucys-Murphy content table;
             capped at cycle types of size <= 16, where the dearest type,
             1^16, builds its table in about 0.1 s.
-  closed    product formulas; single cycles of length <= 3000 only.  The
-            sum stops once q - p cuts it short, so near-square rectangles
-            are cheap (about 10 ms at k = 3000 on 3001 x 3002) and
-            |q - p| >= k is the dearest case: at k = 3000 about 1.2 s on
-            sides below 10^4, 2 s near 10^6 and 5 s on 1 x 10^12.  The cost
-            grows about as k^2.6 and with the digits of the sides.  bench
-            refuses the same cycle lengths.
+  closed    product formulas; single cycles of length <= 3000 only.  One
+            pass multiplies a long number by short ones only, so the
+            cost grows about as k^2 and with the digits of the sides.
+            Near-square rectangles are cheap (10 ms at k = 3000 on 3001 x 3002)
+            and |q - p| >= k is the dearest case: at k = 3000 about 0.03 s
+            on 1 x 3001 and 0.1 s on 1 x 10^12.  bench refuses the same
+            cycle lengths.
 
 poly --kind G|H|I|J is capped at |two_d| <= 120, where a family polynomial
-takes about 0.1 s to build and print; its cost grows about as |two_d|^3.
+takes about 0.06 s to build and print; its cost grows about as |two_d|^3.
 verify runs the jm suite for k <= 7 only, whatever --k-max says: the check
 builds all k! elements of S_k, about 5 ms at k = 7 and 60 ms at k = 8.  Its
 transpose suite checks the oracle on cycle types of size <= 10 only: on
 every rectangle with p q <= 60 that loop takes about 1.3 s at size 10
 (0.2 s at --pq-max 8) and grows about 1.4x per step.  Its integrality
 suite builds the family polynomials for |two_d| <= min(2 --k-max, 120)
-only: all of them, at the cap, take about 11 s.  Its oracle-match suite
-checks single cycles of length <= 61 only: every rectangle it admits has
-at most 60 boxes, so both sides are 0 past that.
+and checks the witness for |d| <= min(2 --k-max, 120) and
+k <= min(--k-max, 120) only: about 6-7 s at the cap.  Its vanishing suite
+checks j <= 1500 only, cycles 2j - 1 up to the closed cap: about 1.5 s.
+Its oracle-match suite checks single cycles of length <= 61 only: every
+rectangle it admits has at most 60 boxes, so both sides are 0 past that.
 
 Exit codes: 0 on success, 1 when a verification or cross-check fails, 2 on
 usage errors including cap violations.
@@ -40,7 +42,6 @@ import json
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from fractions import Fraction
 
 from ._poly import DEPoly
 from .closed import (
@@ -143,11 +144,7 @@ def _cmd_eval(args) -> int:
     else:
         value = ch_rect_fast(pi.parts[0], p, q)
     elapsed = time.perf_counter_ns() - start
-    frac = Fraction(value)
-    if frac.denominator != 1:
-        print(f"eval: non-integer value {frac}", file=sys.stderr)
-        return 1
-    text = str(int(frac))
+    text = str(value)
     if args.format == "json":
         print(json.dumps({
             "inputs": {"cycle": list(pi.parts), "p": p, "q": q, "n": n},
@@ -270,18 +267,19 @@ def _suite_integrality(args) -> list:
                            for c in poly.terms().values())
             cases.append(
                 (f"integrality family two_d={two_d} parity={parity}", check))
-    span = 2 * args.k_max
-    for d in range(-span, span + 1):
-        def check(d=d, k_max=args.k_max):
+    # the witnesses over the families' own range of d
+    k_top = min(args.k_max, FAMILY_CAP)
+    for d in range(-top, top + 1):
+        def check(d=d):
             return all(integrality_witness(d, k).denominator == 1
-                       for k in range(1, k_max + 1))
-        cases.append((f"integrality witness d={d} k<={args.k_max}", check))
+                       for k in range(1, k_top + 1))
+        cases.append((f"integrality witness d={d} k<={k_top}", check))
     return cases
 
 
 def _suite_vanishing(args) -> list:
     cases = []
-    for j in range(2, args.j_max + 1):
+    for j in range(2, min(args.j_max, (CLOSED_CAP + 1) // 2) + 1):
         k, p, q = 2 * j - 1, 2 * j - 2, 2 * j + 1
         def check(k=k, p=p, q=q):
             if ch_rect_fast(k, p, q) != 0:
@@ -441,8 +439,8 @@ def _cmd_bench(args) -> int:
             else:
                 value = stanley_eval(Partition((k,)), p, q)
             elapsed = time.perf_counter_ns() - start
-            values[method] = Fraction(value)
-            rows.append([method, k, p, q, elapsed, str(int(Fraction(value)))])
+            values[method] = value
+            rows.append([method, k, p, q, elapsed, str(value)])
         if len(set(values.values())) > 1:
             detail = ", ".join(f"{m}={v}" for m, v in sorted(values.items()))
             print(f"bench: methods disagree at k={k}: {detail}",

@@ -22,15 +22,23 @@ run, which is the form that matches Stanley's polynomial after the
 substitution P = E - D, Q = E + D; it works in Fraction arithmetic, shares
 no code with the two integer evaluators and serves as their reference.
 ch_rect_fast evaluates that sum for all four cases at once in the integers
-S = 2 e and D = 2 d: O(k) integer multiplications on numbers of
-O(k log n) digits for a k-cycle, whatever |q - p| is, and one checked
-exact division at the end.
+S = 2 e and D = 2 d, and one checked exact division ends it.
+
+Both integer evaluators run one pass up the offsets t.  It keeps a term,
+the family coefficient times the factors D^2 - t^2 below t, stepped by an
+exact recurrence, and a total, which is multiplied by the next factor
+S^2 - t^2 (4 n + D^2 - t^2 for the families) before the new term is
+added.  The term is 0 from t = |D| on, and the rest of the pass only
+multiplies in the run of linear factors.  Every product is a long number
+times a short one, so a k-cycle costs about k^2 digit operations (times
+the digits of the sides), whatever |q - p| is.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import zip_longest
 from math import comb, factorial, prod
 
 from ._poly import JNPoly
@@ -155,33 +163,27 @@ def corollary_poly(two_d: int, cycle_parity: str) -> JNPoly:
     # Four times each factor of the (e, d) sum, with e^2 = N + d^2, in the
     # integer D = two_d: D^2 - t^2 and 4 N + D^2 - t^2 for the offsets t of
     # the parity of D below |D|, from 1 for odd D, else from 0 (odd cycles)
-    # or 2 (even cycles).  coeff holds, in J, the family coefficient f_k
-    # (h = 0) or g_k (h = 2) times the common denominator m! (2m - 1 + h)!!.
+    # or 2 (even cycles).  term holds, in J, the family coefficient f_k
+    # (h = 0) or g_k (h = 2) times the common denominator m! (2m - 1 + h)!!
+    # and the factors below t; rows holds the total, one row of
+    # J-coefficients per power of N.
     h = 0 if cycle_parity == "odd" else 2
-    diffs = [two_d * two_d - t * t
-             for t in range(two_d % 2 or h, abs(two_d), 2)]
-    m = len(diffs)
-    # suffix[i]: the coefficients in N of the product of the last i factors
-    suffix = [[1]]
-    for s in reversed(diffs):
-        last = suffix[-1]
-        suffix.append([s * a + 4 * b for a, b in zip(last + [0], [0] + last)])
+    offsets = range(two_d % 2 or h, abs(two_d), 2)
+    m = len(offsets)
     den = factorial(m) * prod(range(1 + h, 2 * m + h, 2))
-    coeff, prefix = [den], 1
-    rows = [[0] * (2 * m + 1) for _ in range(m + 1)]
-    for k in range(m + 1):
-        for n_exp, b in enumerate(suffix[m - k]):
-            row, w = rows[n_exp], prefix * b
-            for i, a in enumerate(coeff):
-                row[i] += w * a
-        if k == m:
-            break
-        prefix *= diffs[k]
-        # times -(J - k)(2J + 2k - 1 + h) / ((k + 1)(2k + 1 + h))
+    term, rows = [den], [[den]]
+    for k, t in enumerate(offsets):
+        w = two_d * two_d - t * t
+        # times -w (J - k)(2J + 2k - 1 + h) / ((k + 1)(2k + 1 + h))
         lo, div = -k * (2 * k - 1 + h), (k + 1) * (2 * k + 1 + h)
-        padded = [0, 0] + coeff + [0, 0]
-        coeff = [-(lo * padded[i + 2] + (h - 1) * padded[i + 1]
-                   + 2 * padded[i]) // div for i in range(len(coeff) + 2)]
+        padded = [0, 0] + term + [0, 0]
+        term = [-w * (lo * padded[i + 2] + (h - 1) * padded[i + 1]
+                      + 2 * padded[i]) // div for i in range(len(term) + 2)]
+        # times 4 N + w, plus the new term
+        rows = [[w * a + 4 * b
+                 for a, b in zip_longest(row, below, fillvalue=0)]
+                for row, below in zip(rows + [[]], [[]] + rows)]
+        rows[0] = [a + b for a, b in zip_longest(rows[0], term, fillvalue=0)]
     # even cycles carry d (two_d even) or 2 d (two_d odd) in front
     scale = 1 if h == 0 else two_d // (2 - two_d % 2)
     den *= 4 ** m
@@ -201,11 +203,11 @@ def ch_rect_fast(k_cycle: int, p: int, q: int) -> int:
     """Normalized character of the p x q rectangle on a k_cycle-cycle.
 
     Evaluates the closed formula in the integer coordinates S = p + q and
-    D = q - p: O(k_cycle) integer multiplications on numbers of
-    O(k_cycle log n) digits, whatever |q - p| is, and one checked exact
-    division at the end.  A cycle of length p + q or more is 0 at once:
-    the largest hook of p x q has length p + q - 1, so no rim hook of that
-    length exists.
+    D = q - p in one pass of about k_cycle / 2 steps, each multiplying
+    numbers of O(k_cycle log n) digits by short ones only, whatever |q - p|
+    is, and one checked exact division at the end.  A cycle of length
+    p + q or more is 0 at once: the largest hook of p x q has length
+    p + q - 1, so no rim hook of that length exists.
 
     >>> ch_rect_fast(3, 2, 2)
     -12
@@ -227,10 +229,9 @@ def ch_rect_fast(k_cycle: int, p: int, q: int) -> int:
     s2 = (p + q) ** 2
     dd = q - p
     d2 = dd * dd
-    odd_diff = dd % 2
     # Four times each (e, d) factor of closed_char_ed: the shifts r or
-    # r +- 1/2 become the offsets t of the parity of D, so D^2 - t^2 first
-    # vanishes at t = |D| and cuts the sum short.
+    # r +- 1/2 become the offsets t of the parity of D, from 1 for odd D,
+    # else from 0 (odd cycles) or 2 (even cycles).
     # c_k below is (-1)^k C(j, k) times the odd numbers from 2k + 1 + h to
     # 2j + 2k - 3 + h: the family coefficient times its common
     # denominator c_0 = (2j - 3 + h)!!, with h = 2 for even cycles.
@@ -238,25 +239,20 @@ def ch_rect_fast(k_cycle: int, p: int, q: int) -> int:
     sign = -1 if j % 2 == 0 else 1
     if k_cycle % 2 == 0:
         h = 2
-        offsets = [2 * r - odd_diff for r in range(1, j + 1)]
         pref, pref_den = sign * comb(2 * j - 1, j) * dd, 1
     else:
         h = 0
-        offsets = [2 * r + odd_diff for r in range(j)]
         pref, pref_den = sign * comb(2 * j - 2, j - 1), j
     c0 = prod(range(1 + h, 2 * j - 2 + h, 2))
-    suffix = [1] * (j + 1)
-    for r in range(j - 1, -1, -1):
-        suffix[r] = suffix[r + 1] * (s2 - offsets[r] * offsets[r])
-    total, coeff, prefix = 0, c0, 1
-    for k in range(j + 1):
-        total += coeff * prefix * suffix[k]
-        if k < j:
-            prefix *= d2 - offsets[k] * offsets[k]
-            if prefix == 0:
-                break
-            coeff = (-coeff * (j - k) * (2 * j + 2 * k - 1 + h)
-                     // ((k + 1) * (2 * k + 1 + h)))
+    # term: c_k times the factors D^2 - t^2 below t; total: the terms so
+    # far, each times the factors S^2 - t^2 from its own t up
+    t0 = dd % 2 or h
+    total = term = c0
+    for k in range(j):
+        t = t0 + 2 * k
+        term = (term * ((t * t - d2) * (j - k) * (2 * j + 2 * k - 1 + h))
+                // ((k + 1) * (2 * k + 1 + h)))
+        total = total * (s2 - t * t) + term
     num, den = pref * total, 4 ** j * c0 * pref_den
     value, rem = divmod(num, den)
     if rem:

@@ -16,7 +16,6 @@ polynomial data.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
 from .exact import falling_factorial
@@ -86,26 +85,33 @@ def one_cycle_character(shape, k: int) -> int:
     return _character(lam.parts, (k,))
 
 
-def normalized_character(cycle, shape) -> Fraction:
+def normalized_character(cycle, shape) -> int:
     """The normalized character Ch: falling factorial times character ratio.
 
     For a cycle type pi of k and a shape of n boxes this is
     n (n-1) ... (n-k+1) times the character at pi completed with fixpoints,
-    divided by the dimension; it is 0 whenever n < k.
+    divided by the dimension; it is 0 whenever n < k.  It is an integer,
+    z_pi times the central character (class size times character over
+    dimension), so the one division is checked and raises ArithmeticError
+    on a remainder.
 
     >>> normalized_character(Partition((3,)), Partition((2, 2)))
-    Fraction(-12, 1)
+    -12
     """
     pi = Partition(cycle)
     lam = Partition(shape)
     n = lam.size
     k = pi.size
     if n < k:
-        return Fraction(0)
+        return 0
     if k == 0:
-        return Fraction(1)
+        return 1
     chi = _character(lam.parts, tuple(x for x in pi.parts if x > 1))
-    return Fraction(falling_factorial(n, k) * chi, _dim_from_parts(lam.parts))
+    num, den = falling_factorial(n, k) * chi, _dim_from_parts(lam.parts)
+    value, rem = divmod(num, den)
+    if rem:
+        raise ArithmeticError(f"non-integer normalized character {num}/{den}")
+    return value
 
 
 if __name__ == "__main__":

@@ -12,11 +12,9 @@ from math import factorial
 
 __all__ = [
     "Partition",
-    "RimHook",
     "rectangle",
     "transpose",
     "dim_f",
-    "rim_hooks_of_length",
     "partitions",
 ]
 
@@ -81,23 +79,6 @@ class Partition:
         return "[" + ",".join(str(x) for x in self.parts) + "]"
 
 
-class RimHook:
-    """A removable border strip, recorded by what it leaves behind.
-
-    height is the number of rows the strip spans minus one, the exponent of
-    the sign it contributes in character recursions.
-    """
-
-    __slots__ = ("remainder", "height")
-
-    def __init__(self, remainder: Partition, height: int) -> None:
-        self.remainder = remainder
-        self.height = height
-
-    def __repr__(self) -> str:
-        return f"RimHook(remainder={self.remainder!r}, height={self.height})"
-
-
 def rectangle(p: int, q: int) -> Partition:
     """The p x q rectangle: p rows of length q; empty when either side is 0."""
     if p < 0 or q < 0:
@@ -151,33 +132,21 @@ def _dim_from_parts(parts: tuple[int, ...]) -> int:
     return factorial(n) // hooks
 
 
-def rim_hooks_of_length(shape, k: int) -> list[RimHook]:
-    """All border strips of exactly k cells removable from the shape.
-
-    A strip spans a contiguous band of rows; inside the band every row above
-    the last is forced, so a strip is determined by its first and last row.
-    Results are ordered by starting column descending, with lower starting
-    rows first on ties.
-
-    >>> [(h.remainder.parts, h.height) for h in rim_hooks_of_length((5, 5), 3)]
-    [((5, 2), 0), ((4, 3), 1)]
-    """
-    lam = Partition(shape).parts
-    if k < 1:
-        raise ValueError("hook length must be positive")
-    return [RimHook(Partition(rest), height)
-            for rest, height in _strips(lam, k)]
-
-
 @lru_cache(maxsize=None)
 def _strips(parts: tuple[int, ...], k: int) -> tuple:
     """(remainder, height) of every k-cell border strip of a valid shape.
 
-    The remainders are plain tuples, partitions by construction, and come in
-    the order rim_hooks_of_length documents.  A strip from row s to row t
-    has a cell in each of those rows, so only t < s + k is tried.  Cached
-    for the life of the process, so strips found for one shape serve every
-    later call on it.
+    height is the number of rows the strip spans minus one, the exponent of
+    the sign it contributes in character recursions.  The remainders are
+    plain tuples, partitions by construction.  A strip spans a contiguous
+    band of rows, and is fixed by its first row and k; it has a cell in each
+    row it spans, so a strip from row s only tries last rows t < s + k.
+    Strips come by starting column descending, with lower starting rows
+    first on ties.  Cached for the life of the process, so strips found for
+    one shape serve every later call on it.
+
+    >>> _strips((5, 5), 3)
+    (((5, 2), 0), ((4, 3), 1))
     """
     found = []
     rows = len(parts)

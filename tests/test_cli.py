@@ -276,6 +276,25 @@ def test_verify_integrality_families_stop_at_their_cap(capsys, monkeypatch):
     assert seen == set(range(FAMILY_CAP + 1))
 
 
+def test_verify_integrality_witnesses_stop_at_the_family_cap(capsys,
+                                                             monkeypatch):
+    seen = []
+
+    def recording_witness(d, k):
+        seen.append((d, k))
+        return Fraction(1)
+
+    monkeypatch.setattr("rectchar.cli.corollary_poly",
+                        lambda two_d, parity: BiPoly.zero())
+    monkeypatch.setattr("rectchar.cli.integrality_witness", recording_witness)
+    code, out, _ = run(capsys, "verify", "--suite", "integrality",
+                       "--k-max", "200")
+    assert code == 0
+    assert max(abs(d) for d, _ in seen) == FAMILY_CAP == 120
+    assert max(k for _, k in seen) == FAMILY_CAP
+    assert f"PASS integrality witness d={FAMILY_CAP} k<={FAMILY_CAP}" in out
+
+
 def test_verify_oracle_match_closed_stops_at_its_cap(capsys, monkeypatch):
     lengths = set()
 
@@ -294,6 +313,25 @@ def test_verify_oracle_match_closed_stops_at_its_cap(capsys, monkeypatch):
     closed_lines = [line for line in out.splitlines()
                     if line.startswith("PASS oracle-match closed")]
     assert len(closed_lines) == 4 * (ORACLE_CAP + 1)
+
+
+def test_verify_vanishing_stops_at_the_closed_cap(capsys, monkeypatch):
+    lengths = []
+
+    def counting_closed(k, p, q):
+        lengths.append(k)
+        return 0
+
+    monkeypatch.setattr("rectchar.cli.ch_rect_fast", counting_closed)
+    monkeypatch.setattr("rectchar.cli.normalized_character",
+                        lambda pi, shape: 0)
+    monkeypatch.setattr("rectchar.cli.stanley_eval", lambda pi, p, q: 0)
+    code, out, _ = run(capsys, "verify", "--suite", "vanishing",
+                       "--j-max", str(CLOSED_CAP + 10))
+    assert code == 0
+    top = (CLOSED_CAP + 1) // 2
+    assert lengths == [2 * j - 1 for j in range(2, top + 1)]
+    assert out.splitlines()[-1] == f"verify: {top - 1} passed, 0 failed"
 
 
 def test_verify_all_suites_small_bounds(capsys):

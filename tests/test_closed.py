@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from polyfixtures import CYCLE_PARITY, EXPECTED
+from rectchar.cli import CLOSED_CAP
 from rectchar.closed import (
     ch_rect_fast,
     closed_char_ed,
@@ -143,12 +144,22 @@ def test_ch_rect_fast_rejects_non_int_arguments(args):
 _SIDES = (1, 2, 5, 9, 97, 98, 99, 100, 1000, 30000, 10**6 + 3, 10**12)
 
 
-@pytest.mark.parametrize("k", [1, 2, 9, 98, 99])
+@pytest.mark.parametrize("k", [1, 2, 9, 98, 99, CLOSED_CAP])
 def test_ch_rect_fast_one_row_and_one_column_are_falling_factorials(k):
     for side in _SIDES:
         assert ch_rect_fast(k, 1, side) == perm(side, k), (k, side)
         assert ch_rect_fast(k, side, 1) == (-1) ** (k - 1) * perm(side, k), (
             k, side)
+
+
+def test_ch_rect_fast_at_the_cap_far_from_square_is_fast():
+    # the dearest input at the cap: the sum is never cut short when
+    # |q - p| >= k, and every digit of the sides enters each factor
+    started = time.perf_counter()
+    value = ch_rect_fast(CLOSED_CAP, 1, 10**12)
+    elapsed = time.perf_counter() - started
+    assert value == perm(10**12, CLOSED_CAP)
+    assert elapsed < 1.0
 
 
 def test_ch_rect_fast_far_from_square_is_fast():

@@ -13,7 +13,6 @@ from rectchar.young import (
     dim_f,
     partitions,
     rectangle,
-    rim_hooks_of_length,
     transpose,
 )
 
@@ -91,17 +90,11 @@ def test_dim_transpose_symmetry(lam):
 
 
 def test_rim_hooks_examples():
-    got = [(h.remainder.parts, h.height)
-           for h in rim_hooks_of_length((5, 5), 3)]
-    assert got == [((5, 2), 0), ((4, 3), 1)]
-    got = [(h.remainder.parts, h.height)
-           for h in rim_hooks_of_length((3, 3, 3), 3)]
-    assert got == [((3, 3), 0), ((3, 2, 1), 1), ((2, 2, 2), 2)]
-    assert [(h.remainder.parts, h.height)
-            for h in rim_hooks_of_length((3, 1), 4)] == [((), 1)]
-    assert rim_hooks_of_length((2, 2), 4) == []
-    with pytest.raises(ValueError):
-        rim_hooks_of_length((2, 2), 0)
+    assert _strips((5, 5), 3) == (((5, 2), 0), ((4, 3), 1))
+    assert _strips((3, 3, 3), 3) == (
+        ((3, 3), 0), ((3, 2, 1), 1), ((2, 2, 2), 2))
+    assert _strips((3, 1), 4) == (((), 1),)
+    assert _strips((2, 2), 4) == ()
 
 
 def test_rim_hooks_match_bruteforce():
@@ -116,9 +109,6 @@ def test_rim_hooks_match_bruteforce():
                 for rest, _ in got:
                     assert Partition(rest).parts == rest, (lam, k)
                     assert sum(rest) == n - k, (lam, k)
-                hooks = rim_hooks_of_length(lam, k)
-                assert [(h.remainder.parts, h.height) for h in hooks] \
-                    == list(got), (lam, k)
 
 
 def test_strips_span_at_most_k_rows():
@@ -129,8 +119,6 @@ def test_strips_span_at_most_k_rows():
     got = _strips.__wrapped__(column, 3)
     assert perf_counter() - start < 0.1
     assert got == (((1,) * 1997, 2),)
-    assert [(h.remainder.parts, h.height)
-            for h in rim_hooks_of_length(column, 3)] == list(got)
 
 
 def test_partitions_enumeration():
