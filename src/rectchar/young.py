@@ -85,7 +85,10 @@ def rectangle(p: int, q: int) -> Partition:
         raise ValueError("sides must be non-negative")
     if p == 0 or q == 0:
         return Partition()
-    return Partition((q,) * p)
+    # one part validates them all: the p equal parts are built as they stand
+    rect = Partition.__new__(Partition)
+    rect.parts = Partition((q,)).parts * p
+    return rect
 
 
 def transpose(shape) -> Partition:

@@ -212,6 +212,17 @@ def test_ch_rect_fast_past_the_longest_hook_is_instant():
     assert time.perf_counter() - started < 0.1
 
 
+def test_ch_rect_fast_even_cycles_on_squares_are_zero():
+    # an even cycle's prefactor holds D = q - p, so the pass is skipped
+    for p in range(1, 8):
+        for k in range(2, p * p + 1, 2):
+            want = normalized_character(Partition((k,)), rectangle(p, p))
+            assert ch_rect_fast(k, p, p) == want == 0, (k, p)
+    started = time.perf_counter()
+    assert ch_rect_fast(CLOSED_CAP, 10**12, 10**12) == 0
+    assert time.perf_counter() - started < 0.02
+
+
 def test_ch_rect_fast_reciprocal_regime():
     # j <= |d| sends the trailing product into its reciprocal range
     assert ch_rect_fast(1, 1, 9) == 9

@@ -1,13 +1,17 @@
 """Tests for Stanley's rectangle formula and its polynomial forms."""
 
+import ast
 from fractions import Fraction
 from math import factorial
+from pathlib import Path
 from time import perf_counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import rectchar.stanley
 from bruteforce import (
+    character_bruteforce,
     cycle_type_representative,
     factorization_table,
     stirling_first_unsigned,
@@ -16,6 +20,7 @@ from rectchar._poly import BiPoly, DEPoly
 from rectchar.closed import ch_rect_fast, closed_char_ed
 from rectchar.mn import normalized_character
 from rectchar.stanley import (
+    _column,
     _joint_cycle_table,
     BasisMismatch,
     decompose_even_basis,
@@ -42,10 +47,45 @@ def test_joint_table_matches_bruteforce():
             assert table == factorization_table(w), pi
 
 
+def _beta_set(parts, k):
+    """The k-bead beta-set of a partition of k, as the sweep's bitmask."""
+    padded = parts + (0,) * (k - len(parts))
+    return sum(1 << (row + k - 1 - i) for i, row in enumerate(padded))
+
+
+def test_column_matches_bruteforce():
+    for k in range(9):
+        shapes = [lam.parts for lam in partitions(k)]
+        for mu in shapes:
+            want = {_beta_set(lam, k): character_bruteforce(lam, mu)
+                    for lam in shapes}
+            want = {mask: chi for mask, chi in want.items() if chi}
+            assert _column(k, mu) == want, mu
+
+
+def test_table_shares_no_code_with_the_oracle():
+    # the Stanley route stays independent of the Murnaghan-Nakayama oracle:
+    # nothing from mn, and from young only the validated Partition
+    tree = ast.parse(Path(rectchar.stanley.__file__).read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = (node.module or "").removeprefix("rectchar").lstrip(".")
+            imported.setdefault(module, set()).update(
+                alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                name = alias.name.removeprefix("rectchar").lstrip(".")
+                imported.setdefault(name, set())
+    assert "mn" not in imported and "mn" not in imported.get("", set())
+    assert imported["young"] == {"Partition"}
+
+
 def test_joint_table_refuses_a_sum_with_a_remainder(monkeypatch):
-    # weight 1 on the one-row shape alone leaves x (x + 1) y (y + 1) / 2
-    monkeypatch.setattr("rectchar.stanley._character",
-                        lambda lam, cycles: 1 if lam == (2,) else 0)
+    # weight 1 on the one-row shape (2,) alone, two beads at 0 and 3,
+    # leaves x (x + 1) y (y + 1) / 2
+    monkeypatch.setattr("rectchar.stanley._column",
+                        lambda k, parts: {_beta_set((2,), 2): 1})
     with pytest.raises(ArithmeticError):
         _joint_cycle_table.__wrapped__((2,))
 

@@ -1,5 +1,6 @@
 """Tests for partitions, rim hooks and dimensions."""
 
+from fractions import Fraction
 from math import factorial
 from time import perf_counter
 
@@ -49,8 +50,11 @@ def test_rectangle():
     assert rectangle(2, 3).parts == (3, 3)
     assert rectangle(0, 5).parts == ()
     assert rectangle(5, 0).parts == ()
-    with pytest.raises(ValueError):
-        rectangle(-1, 2)
+    assert rectangle(3, Fraction(4)) == Partition((4, 4, 4))
+    assert all(type(row) is int for row in rectangle(3, Fraction(4)))
+    for p, q in ((-1, 2), (2, -1), (3, Fraction(1, 2))):
+        with pytest.raises(ValueError):
+            rectangle(p, q)
 
 
 def test_transpose_examples():
