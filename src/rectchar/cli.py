@@ -3,12 +3,14 @@
 Evaluation methods
   oracle    Murnaghan-Nakayama recursion over the non-unit parts of the
             cycle type, memoized across calls on (remaining shape,
-            remaining parts); capped at n = p q <= 60, where the dearest
-            types, twenty 2- or 3-cycles, take about 0.1 s cold.
+            remaining parts), and each value kept per (shape, cycle
+            type); capped at n = p q <= 60, where the dearest types,
+            twenty 2- or 3-cycles, take about 0.03-0.05 s cold.
   stanley   signed factorization sum over the Jucys-Murphy content table,
-            its characters from one abacus sweep, no MN recursion; capped
-            at cycle types of size <= 16, where the dearest cold tables,
-            1^16 and 2^8, build in about 0.02 s.
+            its characters from one abacus sweep, no MN recursion, only
+            the entries that can be nonzero; capped at cycle types of
+            size <= 16, where the dearest cold tables, 1^16 and 2^8, build
+            in about 0.01 s.
   closed    product formulas; single cycles of length <= 3000 only.  One
             pass multiplies a long number by short ones only, so the
             cost grows about as k^2 and with the digits of the sides.
@@ -22,8 +24,8 @@ takes about 0.06 s to build and print; its cost grows about as |two_d|^3.
 verify runs the jm suite for k <= 7 only, whatever --k-max says: the check
 builds all k! elements of S_k, about 5 ms at k = 7 and 60 ms at k = 8.  Its
 transpose suite checks the oracle on cycle types of size <= 10 only: on
-every rectangle with p q <= 60 that loop takes about 1.3 s at size 10
-(0.2 s at --pq-max 8) and grows about 1.4x per step.  Its integrality
+every rectangle with p q <= 60 that loop takes about 0.7 s at size 10
+(0.2 s at --pq-max 8) and grows about 1.3x per step.  Its integrality
 suite builds the family polynomials for |two_d| <= min(2 --k-max, 120)
 and checks the witness for |d| <= min(2 --k-max, 120) and
 k <= min(--k-max, 120) only: about 6-7 s at the cap.  Its vanishing suite
@@ -42,7 +44,6 @@ import csv
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from ._poly import DEPoly
 from .closed import (
@@ -208,6 +209,7 @@ def _iter_cycle_types(k_max: int):
 def _suite_oracle_match(args) -> list:
     cases = []
     for pi in _iter_cycle_types(min(args.k_max, STANLEY_CAP)):
+        shown = str(pi)
         for p in range(1, args.pq_max + 1):
             for q in range(1, args.pq_max + 1):
                 if p * q > ORACLE_CAP:
@@ -216,7 +218,7 @@ def _suite_oracle_match(args) -> list:
                     want = normalized_character(pi, rectangle(p, q))
                     got = stanley_eval(pi, p, q)
                     return got == want or f"stanley={got} oracle={want}"
-                cases.append((f"oracle-match stanley pi={pi} p={p} q={q}",
+                cases.append((f"oracle-match stanley pi={shown} p={p} q={q}",
                               check))
     # past ORACLE_CAP + 1 both sides are 0 on every rectangle admitted here
     for k in range(1, min(args.k_max, ORACLE_CAP + 1) + 1):
@@ -243,17 +245,19 @@ def _suite_transpose(args) -> list:
             return swapped == signed or f"swapped={swapped} signed={signed}"
         cases.append((f"transpose poly pi={pi}", check))
     for pi in _iter_cycle_types(min(args.k_max, TRANSPOSE_CAP)):
+        shown = str(pi)
+        sign = -1 if (pi.size - pi.length) % 2 else 1
         for p in range(1, args.pq_max + 1):
             for q in range(p + 1, args.pq_max + 1):
                 if p * q > ORACLE_CAP:
                     continue
-                sign = -1 if (pi.size - pi.length) % 2 else 1
                 def check(pi=pi, p=p, q=q, sign=sign):
                     left = normalized_character(pi, rectangle(q, p))
                     right = sign * normalized_character(pi, rectangle(p, q))
                     return left == right or (f"oracle({q}x{p})={left} "
                                              f"signed oracle({p}x{q})={right}")
-                cases.append((f"transpose oracle pi={pi} p={p} q={q}", check))
+                cases.append((f"transpose oracle pi={shown} p={p} q={q}",
+                              check))
     return cases
 
 
@@ -400,6 +404,8 @@ def _cmd_verify(args) -> int:
         return None if passed else ""
 
     if args.threads > 1:
+        # imported here: concurrent.futures costs every CLI start ~8 ms
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=args.threads) as pool:
             outcomes = list(pool.map(run, cases))
     else:

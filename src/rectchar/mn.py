@@ -11,7 +11,12 @@ a subproblem an earlier one solved, such as the same rectangle at the same
 cycle type, reuses it.  character_mn, one_cycle_character and
 normalized_character all run it.  normalized_character is the degree-k
 falling-factorial normalization that turns character ratios into
-polynomial data.
+polynomial data.  It validates its input once and keeps each integer
+result for the life of the process, keyed on the shape and the full cycle
+type, unit parts included (Ch at (3, 1) and at (3) differ by a falling
+factorial), so a check that asks again for a value another check already
+computed pays one lookup.  f at the leaves comes from the beta-numbers,
+the hook lengths of the first column or row (young.dim_f).
 """
 
 from __future__ import annotations
@@ -98,16 +103,20 @@ def normalized_character(cycle, shape) -> int:
     >>> normalized_character(Partition((3,)), Partition((2, 2)))
     -12
     """
-    pi = Partition(cycle)
-    lam = Partition(shape)
-    n = lam.size
-    k = pi.size
+    return _normalized(Partition(shape).parts, Partition(cycle).parts)
+
+
+@lru_cache(maxsize=None)
+def _normalized(shape: tuple[int, ...], cycles: tuple[int, ...]) -> int:
+    # normalized_character on valid tuples; cycles is the full cycle type
+    n = sum(shape)
+    k = sum(cycles)
     if n < k:
         return 0
     if k == 0:
         return 1
-    chi = _character(lam.parts, tuple(x for x in pi.parts if x > 1))
-    num, den = falling_factorial(n, k) * chi, _dim_from_parts(lam.parts)
+    chi = _character(shape, tuple(x for x in cycles if x > 1))
+    num, den = falling_factorial(n, k) * chi, _dim_from_parts(shape)
     value, rem = divmod(num, den)
     if rem:
         raise ArithmeticError(f"non-integer normalized character {num}/{den}")

@@ -20,8 +20,21 @@ Murnaghan-Nakayama recursion and no code shared with the oracle; f^lam
 and the content products come from a hook-length formula on the same
 beta-sets, cached per shape for the life of the process, so every type of
 the same size shares them.  Then one exact division by k!, with no k!
-term in the cost.  The dearest cold tables under the cap, 1^16 and 2^8,
-take about 0.02 s.
+term in the cost.
+
+Most entries of the table are 0, and two bounds say which in advance.
+With |s| = k - cycles(s) the Cayley length, the triangle inequality
+|s1| + |s2| >= |w| >= | |s1| - |s2| | confines (c1, c2) to
+c1 + c2 <= k + l(pi) and |c1 - c2| <= k - l(pi), and
+sgn(s1) sgn(s2) = sgn(w) to c1 + c2 = k + l(pi) (mod 2).  The content sum
+accumulates those entries only (for 1^k just the diagonal), and the
+entries it finds must add up to the k! factorizations, so none can lie
+outside.  The dearest cold tables under the cap, 1^16 and 2^8, take about
+0.01 s.  Values and polynomials read a packed form of the table that keeps
+just those entries, each row c1 as every second c2 between its bounds:
+at k = 7-9 that is 17-27 entries where the square table has 64-100, and
+for every type of those sizes the packed entries are exactly the nonzero
+ones.
 
 The module also carries the change of variables to (D, E) coordinates,
 the expansion in the even basis prod (D^2 - r^2), and the Jucys-Murphy
@@ -108,29 +121,67 @@ def _shape(k: int, mask: int) -> tuple[int, tuple[int, ...]]:
     return factorial(k) // hooks, tuple(coeffs)
 
 
+def _spans(k: int, length: int) -> tuple[tuple[int, int, int], ...]:
+    """(c1, first, last) for each c1: entry (c1, c2) of the joint table of a
+    cycle type of k with length parts can be nonzero only for c2 = first,
+    first + 2, ..., last.
+
+    The bounds of the module docstring: |c1 - c2| <= k - length, and
+    c1 + c2 <= k + length with the parity of k + length; a permutation of
+    k >= 1 points has between 1 and k cycles.
+    """
+    floor = 1 if k else 0
+    spans = []
+    for c1 in range(floor, k + 1):
+        top = k + length - c1  # of the parity every c2 in the row has
+        first = max(c1 - k + length, floor)
+        last = min(c1 + k - length, top, k)
+        spans.append((c1, first + (top - first) % 2, last - (top - last) % 2))
+    return tuple(spans)
+
+
 @lru_cache(maxsize=None)
 def _joint_cycle_table(parts: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """Entry (c1, c2) counts the factorizations s1 s2 = w of a permutation
     w of cycle type parts with c1 cycles in s1 and c2 in s2.
 
     Built from the content identity in the module docstring, in integers,
-    with one checked exact division by k! at the end.
+    on the entries _spans admits only, with one checked exact division by
+    k! at the end.  The k! factorizations are all counted once, so entries
+    that sum to k! leave none outside the spans.
     """
     k = sum(parts)
+    spans = _spans(k, len(parts))
     acc = [[0] * (k + 1) for _ in range(k + 1)]
     for mask, chi in _column(k, parts).items():
         dim, coeffs = _shape(k, mask)
         weight = dim * chi
-        for a, ca in enumerate(coeffs):
+        for a, first, last in spans:
+            ca = coeffs[a]
             if ca:
                 scaled, row = weight * ca, acc[a]
-                for b, cb in enumerate(coeffs):
-                    row[b] += scaled * cb
+                for b in range(first, last + 1, 2):
+                    row[b] += scaled * coeffs[b]
     order = factorial(k)
     if any(entry % order for row in acc for entry in row):
         raise ArithmeticError(
             f"content sum for {parts} is not divisible by {k}!")
-    return tuple(tuple(entry // order for entry in row) for row in acc)
+    table = tuple(tuple(entry // order for entry in row) for row in acc)
+    if sum(map(sum, table)) != order:
+        raise ArithmeticError(
+            f"joint table of {parts} misses factorizations outside the spans")
+    return table
+
+
+@lru_cache(maxsize=None)
+def _packed_table(parts: tuple[int, ...]) -> tuple:
+    """Rows c1 = 1..k of the joint table of a non-empty cycle type, each as
+    (first, counts): the entries at c2 = first, first + 2, ... up to the
+    last one _spans admits.
+    """
+    table = _joint_cycle_table(parts)
+    return tuple((first, table[c1][first:last + 1:2])
+                 for c1, first, last in _spans(sum(parts), len(parts)))
 
 
 def stanley_eval(pi, p, q):
@@ -146,30 +197,41 @@ def stanley_eval(pi, p, q):
     pi = Partition(pi)
     if pi.size == 0:
         raise ValueError("cycle type must be non-empty")
-    table = _joint_cycle_table(pi.parts)
+    rows = _packed_table(pi.parts)
     k = pi.size
     # With p = a/b and -q = c/d, (b d)^k times the value is an integer: one
-    # homogeneous Horner pass over the table, in c1 with (c, d) outside and
-    # in c2 with (a, b) inside, then one division.  Int sides have b = d = 1
-    # and build no Fraction.
-    sides_are_ints = isinstance(p, int) and isinstance(q, int)
-    if not sides_are_ints:
-        p, q = Fraction(p), Fraction(q)
+    # homogeneous Horner pass over the packed rows, in c1 with (c, d)
+    # outside and in c2, two at a time, with (a^2, b^2) inside, then one
+    # division.  Row c1 holds a^first b^(k - last) times its inner sum.
+    # Int sides have b = d = 1, build no powers of them and no Fraction.
+    if isinstance(p, int) and isinstance(q, int):
+        a, c = p, -q
+        a2 = a * a
+        total = 0
+        for first, counts in reversed(rows):
+            inner = 0
+            for count in reversed(counts):
+                inner = inner * a2 + count
+            total = total * c + inner * a ** first
+        total *= c
+        return -total if k % 2 else total
+    if not isinstance(p, Fraction):
+        p = Fraction(p)
+    if not isinstance(q, Fraction):
+        q = Fraction(q)
     a, b = p.numerator, p.denominator
     c, d = -q.numerator, q.denominator
+    a2, b2 = a * a, b * b
     total, d_power = 0, 1
-    for row in reversed(table):
-        inner, b_power = 0, 1
-        for count in reversed(row):
-            inner = inner * a + count * b_power
-            b_power *= b
-        total = total * c + inner * d_power
+    for first, counts in reversed(rows):
+        inner, b_power = 0, b ** (k + 2 - first - 2 * len(counts))
+        for count in reversed(counts):
+            inner = inner * a2 + count * b_power
+            b_power *= b2
+        total = total * c + inner * a ** first * d_power
         d_power *= d
-    if k % 2:
-        total = -total
-    if sides_are_ints:
-        return total
-    return Fraction(total, (b * d) ** k)
+    total *= c
+    return Fraction(-total if k % 2 else total, (b * d) ** k)
 
 
 def stanley_poly(pi) -> BiPoly:
@@ -186,14 +248,14 @@ def stanley_poly(pi) -> BiPoly:
 
 @lru_cache(maxsize=None)
 def _stanley_poly_cached(parts: tuple[int, ...]) -> BiPoly:
-    table = _joint_cycle_table(parts)
+    # the term P^c2 Q^c1 has the sign of (-1)^(k + c1)
     sign = -1 if sum(parts) % 2 else 1
-    terms: dict[tuple[int, int], int] = {}
-    for c1, row in enumerate(table):
-        for c2, count in enumerate(row):
+    terms = {}
+    for c1, (first, counts) in enumerate(_packed_table(parts), 1):
+        row_sign = -sign if c1 % 2 else sign
+        for j, count in enumerate(counts):
             if count:
-                coeff = sign * count if c1 % 2 == 0 else -sign * count
-                terms[(c2, c1)] = terms.get((c2, c1), 0) + coeff
+                terms[(first + 2 * j, c1)] = row_sign * count
     return BiPoly(terms)
 
 

@@ -1,7 +1,12 @@
 """Partitions, rectangles, transposes, dimensions and rim hooks.
 
 Partitions are immutable, hashable, and validated on construction; all
-functions accept either a Partition or any iterable of parts.
+functions accept either a Partition or any iterable of parts.  rectangle
+and partitions, which build shapes themselves, validate their own inputs
+once and wrap the tuples they build, partitions by construction, without
+checking them again.  f, the number of standard tableaux, comes from the
+hook lengths of the first column or row (beta-numbers), in
+O(min(rows, columns)^2) products rather than one per box.
 """
 
 from __future__ import annotations
@@ -79,16 +84,23 @@ class Partition:
         return "[" + ",".join(str(x) for x in self.parts) + "]"
 
 
+def _built(parts: tuple[int, ...]) -> Partition:
+    # a Partition of a tuple that is one by construction, not checked again
+    lam = Partition.__new__(Partition)
+    lam.parts = parts
+    return lam
+
+
 def rectangle(p: int, q: int) -> Partition:
     """The p x q rectangle: p rows of length q; empty when either side is 0."""
     if p < 0 or q < 0:
         raise ValueError("sides must be non-negative")
     if p == 0 or q == 0:
         return Partition()
-    # one part validates them all: the p equal parts are built as they stand
-    rect = Partition.__new__(Partition)
-    rect.parts = Partition((q,)).parts * p
-    return rect
+    row = int(q)
+    if row != q:
+        raise ValueError(f"row length must be an integer, got {q}")
+    return _built((row,) * p)
 
 
 def transpose(shape) -> Partition:
@@ -108,9 +120,13 @@ def transpose(shape) -> Partition:
 
 
 def dim_f(shape) -> int:
-    """Number of standard Young tableaux of the shape, by hook lengths.
+    """Number of standard Young tableaux of the shape.
 
-    The product of all hook lengths divides n! exactly; the division
+    With beta_i = lam_i + l - i the hook lengths of the first column (rows
+    i = 1..l), f = n! prod_{i<j} (beta_i - beta_j) / prod_i beta_i!
+    (Frobenius); a shape with more rows than columns takes the hook
+    lengths of its first row instead, those of its transpose's first
+    column, so the cost is the square of the shorter side.  The division
     happens once at the end so every intermediate stays integral.
 
     >>> dim_f(Partition((2, 2)))
@@ -121,18 +137,23 @@ def dim_f(shape) -> int:
 
 @lru_cache(maxsize=None)
 def _dim_from_parts(parts: tuple[int, ...]) -> int:
-    n = sum(parts)
-    if n == 0:
+    if not parts:
         return 1
-    cols = [0] * parts[0]
-    for row in parts:
-        for j in range(row):
-            cols[j] += 1
-    hooks = 1
-    for i, row in enumerate(parts):
-        for j in range(row):
-            hooks *= row - j + cols[j] - i - 1
-    return factorial(n) // hooks
+    rows = len(parts)
+    top = parts[0] + rows - 1
+    betas = [row + rows - 1 - i for i, row in enumerate(parts)]
+    if rows > parts[0]:
+        # fewer columns than rows: the first-row hook lengths, top minus
+        # each number in 0..top that is not a first-column one, serve as
+        # the beta-numbers of the transpose, which has the same f
+        present = set(betas)
+        betas = [top - x for x in range(top + 1) if x not in present]
+    num, den = factorial(sum(parts)), 1
+    for i, beta in enumerate(betas):
+        den *= factorial(beta)
+        for lower in betas[i + 1:]:
+            num *= beta - lower
+    return num // den
 
 
 @lru_cache(maxsize=None)
@@ -185,12 +206,18 @@ def partitions(n: int, max_part: "int | None" = None) -> Iterator[Partition]:
     if n < 0:
         raise ValueError("n must be non-negative")
     cap = n if max_part is None else min(max_part, n)
+    for parts in _tuples(n, cap):
+        yield _built(parts)
+
+
+def _tuples(n: int, cap: int) -> Iterator[tuple[int, ...]]:
+    # the partitions of n with parts <= cap, as plain tuples
     if n == 0:
-        yield Partition()
+        yield ()
         return
-    for first in range(cap, 0, -1):
-        for rest in partitions(n - first, first):
-            yield Partition((first,) + rest.parts)
+    for first in range(min(cap, n), 0, -1):
+        for rest in _tuples(n - first, first):
+            yield (first,) + rest
 
 
 if __name__ == "__main__":

@@ -1,9 +1,10 @@
 """Independent brute-force oracles used only by the test suite.
 
 Everything here is deliberately naive: standard tableaux are counted by
-corner removal, border strips by filtering all sub-partitions, characters
-by stripping those border strips, Stirling numbers by the textbook
-recurrence, factorizations of a permutation by trying all k! of them.  The
+corner removal or by the hook of every box, border strips by filtering
+all sub-partitions, characters by stripping those border strips, Stirling
+numbers by the textbook recurrence, factorizations of a permutation by
+trying all k! of them.  The
 point is that none of it shares code or ideas with the library
 implementations it checks.
 """
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import permutations
+from math import factorial
 
 
 @lru_cache(maxsize=None)
@@ -26,6 +28,17 @@ def syt_count(parts: tuple[int, ...]) -> int:
             rest = parts[:i] + ((row - 1,) if row > 1 else ()) + parts[i + 1:]
             total += syt_count(rest)
     return total
+
+
+def hook_length_dim(parts: tuple[int, ...]) -> int:
+    """Number of standard tableaux, n! over the product of every box's hook."""
+    n = sum(parts)
+    hooks = 1
+    for i, row in enumerate(parts):
+        for j in range(row):
+            leg = sum(1 for below in parts[i + 1:] if below > j)
+            hooks *= row - j + leg
+    return factorial(n) // hooks
 
 
 def sub_partitions(parts: tuple[int, ...]):

@@ -3,6 +3,8 @@
 import csv
 import io
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
 
@@ -349,6 +351,16 @@ def test_verify_thread_count_does_not_change_output(capsys):
                           "--threads", "4")
     assert code == 0
     assert pooled == serial
+
+
+def test_cli_import_leaves_out_the_thread_pool():
+    # concurrent.futures costs every CLI start several ms; verify imports it
+    # only when --threads asks for more than one worker
+    code = ("import sys, rectchar.cli; "
+            "sys.exit('concurrent.futures' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run([sys.executable, "-c", code], env=env, timeout=60)
+    assert done.returncode == 0
 
 
 def test_verify_reports_failures(capsys, monkeypatch):

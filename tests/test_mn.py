@@ -13,6 +13,7 @@ from rectchar.mn import (
     OutOfRange,
     SizeMismatch,
     _character,
+    _normalized,
     character_mn,
     normalized_character,
     one_cycle_character,
@@ -152,10 +153,27 @@ def test_values_do_not_depend_on_the_shared_cache():
              for p, q in ((2, 3), (3, 2), (4, 5), (6, 10))]
     warm = [normalized_character(pi, rectangle(p, q)) for pi, p, q in cases]
     _character.cache_clear()
+    _normalized.cache_clear()
     assert _character.cache_info().currsize == 0
+    assert _normalized.cache_info().currsize == 0
     cold = [normalized_character(pi, rectangle(p, q)) for pi, p, q in cases]
     assert cold == warm
     assert cold == [stanley_eval(pi, p, q) for pi, p, q in cases]
+
+
+def test_memo_tells_unit_parts_apart():
+    # Ch at (3, 1) and at (3) share their non-unit parts but differ by a
+    # falling factorial; each must match the brute force in either order
+    shapes = [(2, 2), (3, 1), (4, 2), (3, 3), (2, 2, 1, 1), (5, 4, 1)]
+    for order in (((3, 1), (3,)), ((3,), (3, 1))):
+        _normalized.cache_clear()
+        for lam in shapes:
+            n = sum(lam)
+            for pi in order:
+                k = sum(pi)
+                chi = character_bruteforce(lam, pi + (1,) * (n - k))
+                want = Fraction(perm(n, k) * chi, syt_count(lam))
+                assert normalized_character(pi, lam) == want, (pi, lam)
 
 
 @st.composite

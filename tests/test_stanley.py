@@ -22,6 +22,7 @@ from rectchar.mn import normalized_character
 from rectchar.stanley import (
     _column,
     _joint_cycle_table,
+    _spans,
     BasisMismatch,
     decompose_even_basis,
     jm_factorization_check,
@@ -88,6 +89,27 @@ def test_joint_table_refuses_a_sum_with_a_remainder(monkeypatch):
                         lambda k, parts: {_beta_set((2,), 2): 1})
     with pytest.raises(ArithmeticError):
         _joint_cycle_table.__wrapped__((2,))
+
+
+def test_spans_hold_every_nonzero_entry():
+    # the parity and triangle bounds of _spans, against the brute force
+    for k in range(8):
+        for pi in partitions(k):
+            table = factorization_table(cycle_type_representative(pi.parts))
+            admitted = {(c1, c2) for c1, first, last in _spans(k, pi.length)
+                        for c2 in range(first, last + 1, 2)}
+            nonzero = {(c1, c2) for c1, row in enumerate(table)
+                       for c2, count in enumerate(row) if count}
+            assert nonzero <= admitted, pi
+
+
+def test_joint_table_refuses_entries_outside_the_spans(monkeypatch):
+    # with spans that leave out a nonzero entry, the entries kept sum to
+    # less than k!
+    monkeypatch.setattr("rectchar.stanley._spans",
+                        lambda k, length: ((1, 1, 1),))
+    with pytest.raises(ArithmeticError, match="outside the spans"):
+        _joint_cycle_table.__wrapped__((3,))
 
 
 def test_joint_table_trivial_sizes():
@@ -164,6 +186,31 @@ def test_poly_matches_eval():
                      (Fraction(-7, 3), Fraction(5, 4)), (0, Fraction(2, 7))):
             assert poly.evaluate(p, q) == stanley_eval(pi, p, q), pi
         assert type(stanley_eval(pi, 3, -2)) is int
+
+
+_POINTS = ((1, 1), (2, 3), (5, 4), (0, 7), (-1, 3), (4, -6), (-3, -2),
+           (Fraction(1, 2), 3), (-2, Fraction(7, 3)),
+           (Fraction(-7, 3), Fraction(5, 4)),
+           (Fraction(999, 8), Fraction(-4, 9)))
+
+
+def test_packed_eval_matches_the_polynomial_up_to_size_nine():
+    for pi in _cycle_types(9):
+        poly = stanley_poly(pi)
+        for p, q in _POINTS:
+            assert stanley_eval(pi, p, q) == poly.evaluate(p, q), (pi, p, q)
+
+
+_small_types = st.integers(min_value=1, max_value=9).flatmap(
+    lambda k: st.sampled_from([lam.parts for lam in partitions(k)]))
+_rationals = st.fractions(max_denominator=40).filter(
+    lambda x: abs(x.numerator) <= 10**6)
+
+
+@given(_small_types, _rationals, _rationals)
+@settings(max_examples=150, deadline=None)
+def test_packed_eval_matches_the_polynomial_at_random_rationals(pi, p, q):
+    assert stanley_eval(pi, p, q) == stanley_poly(pi).evaluate(p, q)
 
 
 def test_matches_oracle_on_small_grid():

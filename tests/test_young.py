@@ -7,7 +7,7 @@ from time import perf_counter
 import pytest
 from hypothesis import given, strategies as st
 
-from bruteforce import border_strips, syt_count
+from bruteforce import border_strips, hook_length_dim, syt_count
 from rectchar.young import (
     Partition,
     _strips,
@@ -83,6 +83,12 @@ def test_dim_matches_bruteforce_counting():
             assert dim_f(lam) == syt_count(lam.parts), lam
 
 
+def test_dim_from_beta_numbers_matches_the_hook_length_formula():
+    for n in range(13):
+        for lam in partitions(n):
+            assert dim_f(lam) == hook_length_dim(lam.parts), lam
+
+
 def test_dim_squares_sum_to_factorial():
     for n in range(9):
         assert sum(dim_f(lam) ** 2 for lam in partitions(n)) == factorial(n)
@@ -135,3 +141,12 @@ def test_partitions_enumeration():
     assert counts == [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
     with pytest.raises(ValueError):
         list(partitions(-1))
+
+
+def test_built_shapes_are_valid_partitions():
+    # partitions and rectangle wrap tuples they built without checking them
+    # again; the checked constructor accepts each
+    for n in range(9):
+        for lam in partitions(n):
+            assert type(lam) is Partition and Partition(lam.parts) == lam
+    assert Partition(rectangle(4, 3).parts) == rectangle(4, 3)
