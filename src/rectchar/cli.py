@@ -1,11 +1,14 @@
 """Command line interface: evaluate, print polynomials, verify, benchmark.
 
 Evaluation methods
-  oracle    Murnaghan-Nakayama recursion over the non-unit parts of the
-            cycle type, memoized across calls on (remaining shape,
-            remaining parts), and each value kept per (shape, cycle
-            type); capped at n = p q <= 60, where the dearest types,
-            twenty 2- or 3-cycles, take about 0.03-0.05 s cold.
+  oracle    Murnaghan-Nakayama recursion on beta-set bead moves with
+            hook-ratio steps, one per non-unit part of the cycle type,
+            memoized across calls on (beta-set, remaining parts); capped
+            at cycle types of size <= 24 and at p + q <= 10000, the width
+            of the bead mask.  The dearest types at the size cap, twelve
+            2-cycles and their neighbours, take about 0.03 s cold on
+            24 x 24 and 0.05-0.065 s at p + q = 10000.  bench skips the
+            oracle past the same caps.
   stanley   signed factorization sum over the Jucys-Murphy content table,
             its characters from one abacus sweep, no MN recursion, only
             the entries that can be nonzero; capped at cycle types of
@@ -24,8 +27,8 @@ takes about 0.06 s to build and print; its cost grows about as |two_d|^3.
 verify runs the jm suite for k <= 7 only, whatever --k-max says: the check
 builds all k! elements of S_k, about 5 ms at k = 7 and 60 ms at k = 8.  Its
 transpose suite checks the oracle on cycle types of size <= 10 only: on
-every rectangle with p q <= 60 that loop takes about 0.7 s at size 10
-(0.2 s at --pq-max 8) and grows about 1.3x per step.  Its integrality
+every rectangle with p q <= 60 that loop takes about 0.3 s at size 10
+(0.15 s at --pq-max 8) and grows about 1.4x per step.  Its integrality
 suite builds the family polynomials for |two_d| <= min(2 --k-max, 120)
 and checks the witness for |d| <= min(2 --k-max, 120) and
 k <= min(--k-max, 120) only: about 6-7 s at the cap.  Its vanishing suite
@@ -64,15 +67,17 @@ from .stanley import (
 )
 from .young import Partition, partitions, rectangle
 
-__all__ = ["main", "STANLEY_CAP", "ORACLE_CAP", "CLOSED_CAP", "FAMILY_CAP",
-           "JM_CAP", "TRANSPOSE_CAP"]
+__all__ = ["main", "STANLEY_CAP", "ORACLE_CAP", "ORACLE_WIDTH_CAP",
+           "CLOSED_CAP", "FAMILY_CAP", "JM_CAP", "TRANSPOSE_CAP", "GRID_CAP"]
 
 STANLEY_CAP = 16
-ORACLE_CAP = 60
+ORACLE_CAP = 24
+ORACLE_WIDTH_CAP = 10000
 CLOSED_CAP = 3000
 FAMILY_CAP = 120
 JM_CAP = 7
 TRANSPOSE_CAP = 10
+GRID_CAP = 60
 
 _SUITES = (
     "oracle-match",
@@ -122,9 +127,13 @@ def _cmd_eval(args) -> int:
     pi: Partition = args.cycle
     p, q = args.p, args.q
     n = p * q
-    if args.method == "oracle" and n > ORACLE_CAP:
-        print(f"eval: the oracle method is capped at n <= {ORACLE_CAP}, "
-              f"got n = {n}", file=sys.stderr)
+    if args.method == "oracle" and pi.size > ORACLE_CAP:
+        print(f"eval: the oracle method is capped at cycle types of size "
+              f"<= {ORACLE_CAP}, got {pi.size}", file=sys.stderr)
+        return 2
+    if args.method == "oracle" and p + q > ORACLE_WIDTH_CAP:
+        print(f"eval: the oracle method is capped at p + q <= "
+              f"{ORACLE_WIDTH_CAP}, got {p + q}", file=sys.stderr)
         return 2
     if args.method == "stanley" and pi.size > STANLEY_CAP:
         print(f"eval: the stanley method is capped at cycle types of size "
@@ -212,7 +221,7 @@ def _suite_oracle_match(args) -> list:
         shown = str(pi)
         for p in range(1, args.pq_max + 1):
             for q in range(1, args.pq_max + 1):
-                if p * q > ORACLE_CAP:
+                if p * q > GRID_CAP:
                     continue
                 def check(pi=pi, p=p, q=q):
                     want = normalized_character(pi, rectangle(p, q))
@@ -220,11 +229,11 @@ def _suite_oracle_match(args) -> list:
                     return got == want or f"stanley={got} oracle={want}"
                 cases.append((f"oracle-match stanley pi={shown} p={p} q={q}",
                               check))
-    # past ORACLE_CAP + 1 both sides are 0 on every rectangle admitted here
-    for k in range(1, min(args.k_max, ORACLE_CAP + 1) + 1):
+    # past GRID_CAP + 1 both sides are 0 on every rectangle admitted here
+    for k in range(1, min(args.k_max, GRID_CAP + 1) + 1):
         for p in range(1, args.pq_max + 1):
             for q in range(1, args.pq_max + 1):
-                if p * q > ORACLE_CAP:
+                if p * q > GRID_CAP:
                     continue
                 def check(k=k, p=p, q=q):
                     want = normalized_character(Partition((k,)),
@@ -249,7 +258,7 @@ def _suite_transpose(args) -> list:
         sign = -1 if (pi.size - pi.length) % 2 else 1
         for p in range(1, args.pq_max + 1):
             for q in range(p + 1, args.pq_max + 1):
-                if p * q > ORACLE_CAP:
+                if p * q > GRID_CAP:
                     continue
                 def check(pi=pi, p=p, q=q, sign=sign):
                     left = normalized_character(pi, rectangle(q, p))
@@ -291,7 +300,7 @@ def _suite_vanishing(args) -> list:
                 return False
             if k <= STANLEY_CAP and stanley_eval(Partition((k,)), p, q) != 0:
                 return False
-            if p * q <= ORACLE_CAP:
+            if p * q <= GRID_CAP:
                 oracle = normalized_character(Partition((k,)), rectangle(p, q))
                 if oracle != 0:
                     return False
@@ -429,12 +438,12 @@ def _cmd_bench(args) -> int:
               f"<= {CLOSED_CAP}, got {args.k[-1]}", file=sys.stderr)
         return 2
     p, q = args.p, args.q
-    n = p * q
     rows = []
     for k in args.k:
         values = {}
         for method in ("closed", "oracle", "stanley"):
-            if method == "oracle" and n > ORACLE_CAP:
+            if method == "oracle" and (k > ORACLE_CAP
+                                       or p + q > ORACLE_WIDTH_CAP):
                 continue
             if method == "stanley" and k > STANLEY_CAP:
                 continue

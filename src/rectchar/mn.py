@@ -1,30 +1,43 @@
 """Murnaghan-Nakayama character evaluation and the normalized character.
 
-There is one rim-hook recursion.  It removes a rim hook for each part of
-the cycle type greater than 1, largest part first, and closes every branch
-with f of the remaining shape: the character at the identity class is the
-number of standard tableaux.  Fixed points cost nothing, so the cost is one
-hook removal per non-unit part, whatever the size of the diagram.  The
-recursion runs on plain tuples and is memoized for the life of the process
-on (remaining shape, remaining non-unit parts), so a later call that meets
-a subproblem an earlier one solved, such as the same rectangle at the same
-cycle type, reuses it.  character_mn, one_cycle_character and
-normalized_character all run it.  normalized_character is the degree-k
-falling-factorial normalization that turns character ratios into
-polynomial data.  It validates its input once and keeps each integer
-result for the life of the process, keyed on the shape and the full cycle
-type, unit parts included (Ch at (3, 1) and at (3) differ by a falling
-factorial), so a check that asks again for a value another check already
-computed pays one lookup.  f at the leaves comes from the beta-numbers,
-the hook lengths of the first column or row (young.dim_f).
+There is one recursion, and it computes the normalized character
+Ch_pi(lam) = n (n-1) ... (n-k+1) chi^lam(pi) / f^lam directly, for a shape
+lam of n boxes and a cycle type pi of k.  A shape is the bitmask of its
+beta-set: row i of l rows is a bead at lam_i + l - 1 - i.  Removing an
+r-cell border strip moves a bead x down to an empty x - r >= 0, signed by
+the parity of the beads it jumps (James and Kerber 1981, 2.7).  Dividing the
+Murnaghan-Nakayama sum by f^lam turns each branch into a ratio of hook
+products (Frame, Robinson and Thrall):
+
+    Ch_(r, rest)(lam) = sum over strips of +-H(lam) / H(lam') Ch_rest(lam'),
+
+    H(lam) / H(lam') = x! / (x - r)! prod_{b != x} (x - r - b) / (x - b),
+
+which does not involve n.  The product is taken one run of consecutive
+beads at a time, each run as O(r) factors, and its sign is that of the
+strip.  Each node sums its branches over a common denominator and ends
+with one checked exact division.  Fixed points leave the recursion at
+once: with m the total of the parts greater than 1,
+Ch_pi = (n - m) (n - m - 1) ... (n - k + 1) Ch_pi', pi' those parts.
+So the cost follows the non-unit parts of pi and the strips they remove,
+not n; only the bitmask, lam_1 + l bits (p + q on a rectangle), grows
+with the shape.
+
+The recursion is memoized for the life of the process on (beta-set,
+remaining non-unit parts), so a later call that meets a subproblem an
+earlier one solved, such as the same rectangle at the same cycle type,
+reuses it.  normalized_character reads its value directly; character_mn
+and one_cycle_character take chi = Ch f^lam / n^(m) from the same
+recursion, with f^lam from the beta-numbers (young.dim_f) and
+n^(m) = n (n-1) ... (n-m+1).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from math import perm
 
-from .exact import falling_factorial
-from .young import Partition, _dim_from_parts, _strips
+from .young import Partition, _dim_from_parts
 
 __all__ = [
     "SizeMismatch",
@@ -43,28 +56,125 @@ class OutOfRange(ValueError):
     """Requested cycle length does not fit inside the diagram."""
 
 
+def _beads(parts: tuple[int, ...]) -> int:
+    # the beta-set bitmask of a valid shape; a rectangle is one run
+    rows = len(parts)
+    if rows and parts[0] == parts[-1]:
+        return ((1 << rows) - 1) << parts[0]
+    mask = 0
+    for i, row in enumerate(parts):
+        mask |= 1 << (row + rows - 1 - i)
+    return mask
+
+
+def _movable(mask: int, r: int) -> int:
+    # the beads x >= r whose x - r is empty: each starts one r-strip
+    return mask & ~(mask << r) & -(1 << r)
+
+
+def _runs(mask: int) -> list[tuple[int, int]]:
+    # the maximal runs of consecutive beads, as [start, end) from the bottom
+    runs = []
+    while mask:
+        low = mask & -mask
+        carried = mask + low  # the run cleared, its end bit set
+        end = (carried & ~mask).bit_length() - 1
+        runs.append((low.bit_length() - 1, end))
+        mask &= carried
+    return runs
+
+
+def _hook_ratio(runs: list[tuple[int, int]], x: int,
+                r: int) -> tuple[int, int]:
+    """(top, bottom) with top / bottom = +-H(lam) / H(lam'), where lam' is
+    lam with the bead at x moved down to the empty x - r, signed by the
+    beads jumped.
+
+    Over a run of L beads the product of (x - r - b) / (x - b) is L factors
+    each way, or, telescoped, r factors each way; the shorter form is used.
+    """
+    y = x - r
+    top, bottom, jumped = perm(x, r), 1, 0
+    for a, e in runs:
+        if e <= y:  # below the gap: (y - b) / (x - b)
+            if e - a <= r:
+                top *= perm(y - a, e - a)
+                bottom *= perm(x - a, e - a)
+            else:
+                top *= perm(x - e, r)
+                bottom *= perm(x - a, r)
+            continue
+        if a <= x:  # jumped beads a..min(e, x) - 1, as (b - y) / (x - b)
+            c = min(e, x)
+            if c > a:
+                top *= perm(c - 1 - y, c - a)
+                bottom *= perm(x - a, c - a)
+                jumped += c - a
+            if e <= x + 1:
+                continue
+            a = x + 1
+        # above x: (b - y) / (b - x)
+        if e - a <= r:
+            top *= perm(e - 1 - y, e - a)
+            bottom *= perm(e - 1 - x, e - a)
+        else:
+            top *= perm(e - 1 - y, r)
+            bottom *= perm(a - 1 - y, r)
+    return (-top if jumped % 2 else top), bottom
+
+
 @lru_cache(maxsize=None)
-def _character(shape: tuple[int, ...], cycles: tuple[int, ...]) -> int:
-    # the character of shape at cycles completed with fixed points; cycles
-    # is weakly decreasing and fits inside the shape
-    if not cycles:
+def _ch(mask: int, parts: tuple[int, ...]) -> int:
+    """Ch at the non-empty, weakly decreasing parts > 1 of the shape with
+    beta-set mask: one bead move per part, largest part first."""
+    r, rest = parts[0], parts[1:]
+    movable, runs = _movable(mask, r), _runs(mask)
+    num, den = 0, 1
+    while movable:
+        bead = movable & -movable
+        movable ^= bead
+        value = _ch(mask ^ bead ^ (bead >> r), rest) if rest else 1
+        if value:
+            top, bottom = _hook_ratio(runs, bead.bit_length() - 1, r)
+            num = num * bottom + top * value * den
+            den *= bottom
+    quotient, rem = divmod(num, den)
+    if rem:
+        raise ArithmeticError(f"non-integer normalized character {num}/{den}")
+    return quotient
+
+
+def _parts(arg) -> tuple[int, ...]:
+    # the parts of a Partition as they are, of anything else once validated
+    return arg.parts if isinstance(arg, Partition) else Partition(arg).parts
+
+
+def _non_unit(cycles: tuple[int, ...]) -> tuple[int, ...]:
+    # the parts > 1 of a weakly decreasing tuple
+    return cycles[:cycles.index(1)] if 1 in cycles else cycles
+
+
+def _chi(shape: tuple[int, ...], parts: tuple[int, ...]) -> int:
+    # chi at the parts > 1 completed with fixed points, which fit the shape:
+    # Ch f / n^(m), one checked division
+    if not parts:
         return _dim_from_parts(shape)
-    rest = cycles[1:]
-    total = 0
-    for remainder, height in _strips(shape, cycles[0]):
-        value = _character(remainder, rest)
-        total += -value if height % 2 else value
-    return total
+    num = _ch(_beads(shape), parts) * _dim_from_parts(shape)
+    den = perm(sum(shape), sum(parts))
+    value, rem = divmod(num, den)
+    if rem:
+        raise ArithmeticError(f"non-integer character {num}/{den}")
+    return value
 
 
 def character_mn(shape, cycle_type) -> int:
     """Irreducible character of the shape, evaluated at the cycle type.
 
-    A rim hook is removed for each part greater than 1, largest part first,
-    with results memoized across calls on the remaining shape and the parts
-    still to remove; each branch ends in f of what is left.  The cost
-    depends on the non-unit parts and their hook counts, not on the number
-    of fixed points.
+    One bead move per part greater than 1, largest part first, with the
+    normalized values memoized across calls on the remaining beta-set and
+    parts; chi is that value times f over a falling factorial of n.  The
+    recursion costs nothing per fixed point and does not grow with n; only
+    f and the final division see the size of the shape.
 
     >>> character_mn(Partition((2, 2)), Partition((3, 1)))
     -1
@@ -74,7 +184,7 @@ def character_mn(shape, cycle_type) -> int:
     if lam.size != mu.size:
         raise SizeMismatch(f"shape {lam} has size {lam.size}, "
                            f"cycle type {mu} has size {mu.size}")
-    return _character(lam.parts, tuple(x for x in mu.parts if x > 1))
+    return _chi(lam.parts, _non_unit(mu.parts))
 
 
 def one_cycle_character(shape, k: int) -> int:
@@ -87,7 +197,7 @@ def one_cycle_character(shape, k: int) -> int:
     if k < 1 or k > lam.size:
         raise OutOfRange(f"cycle length {k} does not fit in a diagram of "
                          f"size {lam.size}")
-    return _character(lam.parts, (k,))
+    return _chi(lam.parts, (k,) if k > 1 else ())
 
 
 def normalized_character(cycle, shape) -> int:
@@ -97,30 +207,21 @@ def normalized_character(cycle, shape) -> int:
     n (n-1) ... (n-k+1) times the character at pi completed with fixpoints,
     divided by the dimension; it is 0 whenever n < k.  It is an integer,
     z_pi times the central character (class size times character over
-    dimension), so the one division is checked and raises ArithmeticError
+    dimension), so every division is checked and raises ArithmeticError
     on a remainder.
 
     >>> normalized_character(Partition((3,)), Partition((2, 2)))
     -12
     """
-    return _normalized(Partition(shape).parts, Partition(cycle).parts)
-
-
-@lru_cache(maxsize=None)
-def _normalized(shape: tuple[int, ...], cycles: tuple[int, ...]) -> int:
-    # normalized_character on valid tuples; cycles is the full cycle type
-    n = sum(shape)
-    k = sum(cycles)
+    shape, cycle = _parts(shape), _parts(cycle)
+    n, k = sum(shape), sum(cycle)
     if n < k:
         return 0
-    if k == 0:
-        return 1
-    chi = _character(shape, tuple(x for x in cycles if x > 1))
-    num, den = falling_factorial(n, k) * chi, _dim_from_parts(shape)
-    value, rem = divmod(num, den)
-    if rem:
-        raise ArithmeticError(f"non-integer normalized character {num}/{den}")
-    return value
+    parts = _non_unit(cycle)
+    if not parts:
+        return perm(n, k)
+    m = sum(parts)
+    return perm(n - m, k - m) * _ch(_beads(shape), parts)
 
 
 if __name__ == "__main__":

@@ -194,11 +194,11 @@ def stanley_eval(pi, p, q):
     >>> stanley_eval(Partition((2,)), 2, 3)
     6
     """
-    pi = Partition(pi)
-    if pi.size == 0:
+    parts = pi.parts if isinstance(pi, Partition) else Partition(pi).parts
+    if not parts:
         raise ValueError("cycle type must be non-empty")
-    rows = _packed_table(pi.parts)
-    k = pi.size
+    rows = _packed_table(parts)
+    k = sum(parts)
     # With p = a/b and -q = c/d, (b d)^k times the value is an integer: one
     # homogeneous Horner pass over the packed rows, in c1 with (c, d)
     # outside and in c2, two at a time, with (a^2, b^2) inside, then one
@@ -240,10 +240,10 @@ def stanley_poly(pi) -> BiPoly:
     >>> print(stanley_poly(Partition((2,))))
     -1*P^2*Q + 1*P*Q^2
     """
-    pi = Partition(pi)
-    if pi.size == 0:
+    parts = pi.parts if isinstance(pi, Partition) else Partition(pi).parts
+    if not parts:
         raise ValueError("cycle type must be non-empty")
-    return _stanley_poly_cached(pi.parts)
+    return _stanley_poly_cached(parts)
 
 
 @lru_cache(maxsize=None)

@@ -1,4 +1,4 @@
-"""Partitions, rectangles, transposes, dimensions and rim hooks.
+"""Partitions, rectangles, transposes and dimensions.
 
 Partitions are immutable, hashable, and validated on construction; all
 functions accept either a Partition or any iterable of parts.  rectangle
@@ -154,47 +154,6 @@ def _dim_from_parts(parts: tuple[int, ...]) -> int:
         for lower in betas[i + 1:]:
             num *= beta - lower
     return num // den
-
-
-@lru_cache(maxsize=None)
-def _strips(parts: tuple[int, ...], k: int) -> tuple:
-    """(remainder, height) of every k-cell border strip of a valid shape.
-
-    height is the number of rows the strip spans minus one, the exponent of
-    the sign it contributes in character recursions.  The remainders are
-    plain tuples, partitions by construction.  A strip spans a contiguous
-    band of rows, and is fixed by its first row and k; it has a cell in each
-    row it spans, so a strip from row s only tries last rows t < s + k.
-    Strips come by starting column descending, with lower starting rows
-    first on ties.  Cached for the life of the process, so strips found for
-    one shape serve every later call on it.
-
-    >>> _strips((5, 5), 3)
-    (((5, 2), 0), ((4, 3), 1))
-    """
-    found = []
-    rows = len(parts)
-    top = 0
-    while top < rows:
-        # rows top..bottom have equal length: same starting column, so the
-        # lower starting row comes first
-        bottom = top
-        while bottom + 1 < rows and parts[bottom + 1] == parts[top]:
-            bottom += 1
-        for s in range(bottom, top - 1, -1):
-            for t in range(s, min(rows, s + k)):
-                nu_t = parts[s] + (t - s) - k
-                below = parts[t + 1] if t + 1 < rows else 0
-                if below <= nu_t < parts[t]:
-                    # rows s..t-1 take the next row's length less one; rows
-                    # that drop to 0 are the last ones, so they are left off
-                    rest = (parts[:s]
-                            + tuple(x - 1 for x in parts[s + 1:t + 1] if x > 1)
-                            + ((nu_t,) if nu_t else ()) + parts[t + 1:])
-                    found.append((rest, t - s))
-                    break  # the starting cell and k fix the strip
-        top = bottom + 1
-    return tuple(found)
 
 
 def partitions(n: int, max_part: "int | None" = None) -> Iterator[Partition]:

@@ -15,14 +15,17 @@ from rectchar.closed import ch_rect_fast
 from rectchar.cli import (
     CLOSED_CAP,
     FAMILY_CAP,
+    GRID_CAP,
     JM_CAP,
     ORACLE_CAP,
+    ORACLE_WIDTH_CAP,
+    STANLEY_CAP,
     TRANSPOSE_CAP,
     main,
 )
 from rectchar.mn import normalized_character
 from rectchar.stanley import stanley_eval
-from rectchar.young import partitions
+from rectchar.young import partitions, rectangle
 
 
 def run(capsys, *argv):
@@ -136,8 +139,15 @@ def test_eval_prints_values_past_4300_digits(capsys):
 
 def test_eval_cap_violations(capsys):
     code, out, err = run(capsys, "eval", "--method", "oracle",
-                         "--cycle", "3", "--p", "8", "--q", "8")
-    assert code == 2 and out == "" and "n <= 60" in err
+                         "--cycle", ",".join(["2"] * 12 + ["1"]),
+                         "--p", "8", "--q", "8")
+    assert code == 2 and out == "" and f"size <= {ORACLE_CAP}, got 25" in err
+
+    code, out, err = run(capsys, "eval", "--method", "oracle",
+                         "--cycle", "3", "--p", "2",
+                         "--q", str(ORACLE_WIDTH_CAP - 1))
+    assert code == 2 and out == ""
+    assert f"p + q <= {ORACLE_WIDTH_CAP}, got {ORACLE_WIDTH_CAP + 1}" in err
 
     code, _, err = run(capsys, "eval", "--method", "stanley",
                        "--cycle", "9,8", "--p", "2", "--q", "2")
@@ -166,7 +176,43 @@ def test_closed_method_cap(capsys):
     assert code == 0
     rows = list(csv.reader(io.StringIO(out)))
     assert [(row[0], row[1]) for row in rows[1:]] == [
-        ("closed", "3"), ("stanley", "3"), ("closed", str(CLOSED_CAP))]
+        ("closed", "3"), ("oracle", "3"), ("stanley", "3"),
+        ("closed", str(CLOSED_CAP))]
+
+
+def test_oracle_method_caps(capsys):
+    # at each cap the oracle answers; one past either, eval refuses and
+    # bench leaves the oracle out.  2^12, a dearest type at the size cap,
+    # is even, so the transposed rectangle has the same value.
+    twos = ",".join(["2"] * (ORACLE_CAP // 2))
+    code, out, _ = run(capsys, "eval", "--method", "oracle", "--cycle", twos,
+                       "--p", "30", "--q", "40")
+    assert code == 0
+    assert int(table_fields(out)["value"]) == normalized_character(
+        [2] * (ORACLE_CAP // 2), rectangle(40, 30))
+
+    code, out, _ = run(capsys, "eval", "--method", "oracle", "--cycle", "5",
+                       "--p", "1", "--q", str(ORACLE_WIDTH_CAP - 1))
+    assert code == 0 and table_fields(out)["value"] == str(
+        ch_rect_fast(5, 1, ORACLE_WIDTH_CAP - 1))
+    code, _, err = run(capsys, "eval", "--method", "oracle", "--cycle", "5",
+                       "--p", "1", "--q", str(ORACLE_WIDTH_CAP))
+    assert code == 2 and "p + q" in err
+
+    code, out, _ = run(capsys, "bench", "--k",
+                       f"{STANLEY_CAP},{ORACLE_CAP},{ORACLE_CAP + 1}")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert [(row[0], row[1]) for row in rows[1:]] == [
+        ("closed", str(STANLEY_CAP)), ("oracle", str(STANLEY_CAP)),
+        ("stanley", str(STANLEY_CAP)),
+        ("closed", str(ORACLE_CAP)), ("oracle", str(ORACLE_CAP)),
+        ("closed", str(ORACLE_CAP + 1))]
+    code, out, _ = run(capsys, "bench", "--k", "3",
+                       "--p", "1", "--q", str(ORACLE_WIDTH_CAP))
+    assert code == 0
+    assert [row[0] for row in csv.reader(io.StringIO(out))][1:] == [
+        "closed", "stanley"]
 
 
 def test_eval_rejects_bad_cycle_type(capsys):
@@ -309,12 +355,12 @@ def test_verify_oracle_match_closed_stops_at_its_cap(capsys, monkeypatch):
                         lambda pi, shape: 0)
     monkeypatch.setattr("rectchar.cli.stanley_eval", lambda pi, p, q: 0)
     code, out, _ = run(capsys, "verify", "--suite", "oracle-match",
-                       "--k-max", str(ORACLE_CAP + 5), "--pq-max", "2")
+                       "--k-max", str(GRID_CAP + 5), "--pq-max", "2")
     assert code == 0
-    assert lengths == set(range(1, ORACLE_CAP + 2))
+    assert lengths == set(range(1, GRID_CAP + 2))
     closed_lines = [line for line in out.splitlines()
                     if line.startswith("PASS oracle-match closed")]
-    assert len(closed_lines) == 4 * (ORACLE_CAP + 1)
+    assert len(closed_lines) == 4 * (GRID_CAP + 1)
 
 
 def test_verify_vanishing_stops_at_the_closed_cap(capsys, monkeypatch):

@@ -1,19 +1,27 @@
 """Tests for the Murnaghan-Nakayama oracle."""
 
 from fractions import Fraction
-from math import perm
+from math import factorial, perm
 from time import perf_counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bruteforce import character_bruteforce, syt_count
+from bruteforce import (
+    border_strips,
+    character_bruteforce,
+    hook_length_dim,
+    syt_count,
+)
 from rectchar.closed import ch_rect_fast
 from rectchar.mn import (
     OutOfRange,
     SizeMismatch,
-    _character,
-    _normalized,
+    _beads,
+    _ch,
+    _hook_ratio,
+    _movable,
+    _runs,
     character_mn,
     normalized_character,
     one_cycle_character,
@@ -152,10 +160,8 @@ def test_values_do_not_depend_on_the_shared_cache():
     cases = [(pi, p, q) for size in range(1, 7) for pi in partitions(size)
              for p, q in ((2, 3), (3, 2), (4, 5), (6, 10))]
     warm = [normalized_character(pi, rectangle(p, q)) for pi, p, q in cases]
-    _character.cache_clear()
-    _normalized.cache_clear()
-    assert _character.cache_info().currsize == 0
-    assert _normalized.cache_info().currsize == 0
+    _ch.cache_clear()
+    assert _ch.cache_info().currsize == 0
     cold = [normalized_character(pi, rectangle(p, q)) for pi, p, q in cases]
     assert cold == warm
     assert cold == [stanley_eval(pi, p, q) for pi, p, q in cases]
@@ -166,7 +172,7 @@ def test_memo_tells_unit_parts_apart():
     # falling factorial; each must match the brute force in either order
     shapes = [(2, 2), (3, 1), (4, 2), (3, 3), (2, 2, 1, 1), (5, 4, 1)]
     for order in (((3, 1), (3,)), ((3,), (3, 1))):
-        _normalized.cache_clear()
+        _ch.cache_clear()
         for lam in shapes:
             n = sum(lam)
             for pi in order:
@@ -174,6 +180,86 @@ def test_memo_tells_unit_parts_apart():
                 chi = character_bruteforce(lam, pi + (1,) * (n - k))
                 want = Fraction(perm(n, k) * chi, syt_count(lam))
                 assert normalized_character(pi, lam) == want, (pi, lam)
+
+
+def _shape_of(mask):
+    # the partition whose beta-set is the bitmask, rows of length 0 left off
+    beads = [x for x in range(mask.bit_length() - 1, -1, -1) if mask >> x & 1]
+    rows = [x - (len(beads) - 1 - i) for i, x in enumerate(beads)]
+    return tuple(row for row in rows if row)
+
+
+def _hooks(parts):
+    # the product of the hook lengths, n! / f
+    return factorial(sum(parts)) // hook_length_dim(parts)
+
+
+def test_bead_moves_are_the_border_strips():
+    # every r-strip of every shape of size <= 10 is one bead move, signed by
+    # the beads it jumps and weighted by the ratio of hook products; a
+    # beta-set with extra beads at the bottom is the same shape
+    for n in range(1, 11):
+        for lam in partitions(n):
+            for extra in range(3):
+                mask = (_beads(lam.parts) << extra) | ((1 << extra) - 1)
+                assert _shape_of(mask) == lam.parts
+                runs = _runs(mask)
+                for r in range(1, n + 1):
+                    got = set()
+                    movable = _movable(mask, r)
+                    while movable:
+                        bead = movable & -movable
+                        movable ^= bead
+                        rest = _shape_of(mask ^ bead ^ (bead >> r))
+                        x = bead.bit_length() - 1
+                        top, bottom = _hook_ratio(runs, x, r)
+                        assert (Fraction(abs(top), bottom)
+                                == Fraction(_hooks(lam.parts), _hooks(rest)))
+                        got.add((rest, 1 if top > 0 else -1))
+                    want = {(inner, -1 if height % 2 else 1)
+                            for inner, height in border_strips(lam.parts, r)}
+                    assert got == want, (lam, r, extra)
+
+
+def test_runs_of_a_beta_set():
+    assert _runs(0) == []
+    assert _runs(0b1110110001) == [(0, 1), (4, 6), (7, 10)]
+    assert _runs(_beads((5, 5, 5))) == [(5, 8)]
+    assert _beads((3, 1)) == 0b10010
+
+
+def test_a_node_with_a_remainder_raises(monkeypatch):
+    # each node ends in one checked division
+    _ch.cache_clear()
+    monkeypatch.setattr("rectchar.mn._hook_ratio", lambda runs, x, r: (1, 2))
+    try:
+        with pytest.raises(ArithmeticError):
+            _ch(_beads((2,)), (2,))
+    finally:
+        _ch.cache_clear()
+
+
+@pytest.mark.parametrize("cycle, side", [
+    ((3, 2), 100), ((8,), 100), ((2,) * 8, 100), ((16,), 300)])
+def test_large_rectangles_cost_no_more_than_their_strips(cycle, side):
+    # a recursion that closes each branch with n! needs 0.4 s, 0.4 s, 8 s
+    # and ~90 s for these
+    _ch.cache_clear()
+    shape = rectangle(side, side)
+    start = perf_counter()
+    value = normalized_character(Partition(cycle), shape)
+    assert perf_counter() - start < 0.1
+    assert value == stanley_eval(Partition(cycle), side, side)
+
+
+def test_arguments_are_still_validated():
+    # a Partition is read as it is; anything else goes through the checked
+    # constructor, with its errors
+    assert normalized_character((3,), [2, 2]) == -12
+    with pytest.raises(ValueError, match="weakly decreasing"):
+        normalized_character((2,), (2, 3))
+    with pytest.raises(ValueError, match="positive"):
+        normalized_character((2, 0), (2, 2))
 
 
 @st.composite

@@ -9,6 +9,7 @@ from time import perf_counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import rectchar.mn
 import rectchar.stanley
 from bruteforce import (
     character_bruteforce,
@@ -64,22 +65,33 @@ def test_column_matches_bruteforce():
             assert _column(k, mu) == want, mu
 
 
-def test_table_shares_no_code_with_the_oracle():
-    # the Stanley route stays independent of the Murnaghan-Nakayama oracle:
-    # nothing from mn, and from young only the validated Partition
-    tree = ast.parse(Path(rectchar.stanley.__file__).read_text())
+def _package_imports(module):
+    # what a module imports from the package: local module -> names
+    tree = ast.parse(Path(module.__file__).read_text())
     imported = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
-            module = (node.module or "").removeprefix("rectchar").lstrip(".")
-            imported.setdefault(module, set()).update(
+            name = (node.module or "").removeprefix("rectchar").lstrip(".")
+            imported.setdefault(name, set()).update(
                 alias.name for alias in node.names)
         elif isinstance(node, ast.Import):
             for alias in node.names:
                 name = alias.name.removeprefix("rectchar").lstrip(".")
                 imported.setdefault(name, set())
+    return imported
+
+
+def test_table_shares_no_code_with_the_oracle():
+    # the Stanley route stays independent of the Murnaghan-Nakayama oracle
+    # both ways: stanley takes nothing from mn, and from young only the
+    # validated Partition; mn takes nothing from stanley or closed
+    imported = _package_imports(rectchar.stanley)
     assert "mn" not in imported and "mn" not in imported.get("", set())
     assert imported["young"] == {"Partition"}
+    imported = _package_imports(rectchar.mn)
+    for route in ("stanley", "closed"):
+        assert route not in imported, route
+        assert route not in imported.get("", set()), route
 
 
 def test_joint_table_refuses_a_sum_with_a_remainder(monkeypatch):
@@ -155,6 +167,21 @@ def test_stanley_eval_examples():
         stanley_eval(Partition(()), 2, 2)
     with pytest.raises(ValueError):
         stanley_poly(Partition(()))
+
+
+def test_raw_cycle_types_are_still_validated():
+    # a Partition is read as it is; anything else goes through the checked
+    # constructor, with its errors
+    assert stanley_eval((2, 2), 2, 2) == 24
+    assert stanley_eval([3], 2, 2) == -12
+    assert str(stanley_poly([2])) == str(stanley_poly(Partition((2,))))
+    for fn in (lambda pi: stanley_eval(pi, 2, 2), stanley_poly):
+        with pytest.raises(ValueError, match="weakly decreasing"):
+            fn((2, 3))
+        with pytest.raises(ValueError, match="positive"):
+            fn((2, 0))
+        with pytest.raises(ValueError, match="non-empty"):
+            fn(())
 
 
 def test_stanley_eval_accepts_exact_non_integers():

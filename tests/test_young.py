@@ -1,16 +1,14 @@
-"""Tests for partitions, rim hooks and dimensions."""
+"""Tests for partitions and dimensions."""
 
 from fractions import Fraction
 from math import factorial
-from time import perf_counter
 
 import pytest
 from hypothesis import given, strategies as st
 
-from bruteforce import border_strips, hook_length_dim, syt_count
+from bruteforce import hook_length_dim, syt_count
 from rectchar.young import (
     Partition,
-    _strips,
     dim_f,
     partitions,
     rectangle,
@@ -97,38 +95,6 @@ def test_dim_squares_sum_to_factorial():
 @given(small_partitions)
 def test_dim_transpose_symmetry(lam):
     assert dim_f(lam) == dim_f(transpose(lam))
-
-
-def test_rim_hooks_examples():
-    assert _strips((5, 5), 3) == (((5, 2), 0), ((4, 3), 1))
-    assert _strips((3, 3, 3), 3) == (
-        ((3, 3), 0), ((3, 2, 1), 1), ((2, 2, 2), 2))
-    assert _strips((3, 1), 4) == (((), 1),)
-    assert _strips((2, 2), 4) == ()
-
-
-def test_rim_hooks_match_bruteforce():
-    # the oracle's strip finder builds no Partition, so check here that
-    # every remainder is one
-    for n in range(1, 11):
-        for lam in partitions(n):
-            for k in range(1, n + 1):
-                got = _strips(lam.parts, k)
-                assert set(got) == border_strips(lam.parts, k), (lam, k)
-                assert len(got) == len(set(got)), (lam, k)
-                for rest, _ in got:
-                    assert Partition(rest).parts == rest, (lam, k)
-                    assert sum(rest) == n - k, (lam, k)
-
-
-def test_strips_span_at_most_k_rows():
-    # a 3-strip spans at most 3 rows; trying every pair of 2000 rows takes
-    # about 0.5 s
-    column = (1,) * 2000
-    start = perf_counter()
-    got = _strips.__wrapped__(column, 3)
-    assert perf_counter() - start < 0.1
-    assert got == (((1,) * 1997, 2),)
 
 
 def test_partitions_enumeration():
