@@ -90,36 +90,29 @@ def _hook_ratio(runs: list[tuple[int, int]], x: int,
     lam with the bead at x moved down to the empty x - r, signed by the
     beads jumped.
 
-    Over a run of L beads the product of (x - r - b) / (x - b) is L factors
-    each way, or, telescoped, r factors each way; the shorter form is used.
+    Over a run of beads a..e-1 below x - r, the product of
+    (x - r - b) / (x - b) telescopes to r factors each way,
+    perm(x - e, r) / perm(x - a, r), and likewise above x; the fewer than
+    r beads between x - r and x are taken one factor each.
     """
     y = x - r
     top, bottom, jumped = perm(x, r), 1, 0
     for a, e in runs:
-        if e <= y:  # below the gap: (y - b) / (x - b)
-            if e - a <= r:
-                top *= perm(y - a, e - a)
-                bottom *= perm(x - a, e - a)
-            else:
-                top *= perm(x - e, r)
-                bottom *= perm(x - a, r)
+        if e <= y:  # below the gap
+            top *= perm(x - e, r)
+            bottom *= perm(x - a, r)
             continue
         if a <= x:  # jumped beads a..min(e, x) - 1, as (b - y) / (x - b)
             c = min(e, x)
-            if c > a:
-                top *= perm(c - 1 - y, c - a)
-                bottom *= perm(x - a, c - a)
-                jumped += c - a
+            top *= perm(c - 1 - y, c - a)
+            bottom *= perm(x - a, c - a)
+            jumped += c - a
             if e <= x + 1:
                 continue
             a = x + 1
-        # above x: (b - y) / (b - x)
-        if e - a <= r:
-            top *= perm(e - 1 - y, e - a)
-            bottom *= perm(e - 1 - x, e - a)
-        else:
-            top *= perm(e - 1 - y, r)
-            bottom *= perm(a - 1 - y, r)
+        # above x
+        top *= perm(e - 1 - y, r)
+        bottom *= perm(a - 1 - y, r)
     return (-top if jumped % 2 else top), bottom
 
 

@@ -239,17 +239,19 @@ def test_a_node_with_a_remainder_raises(monkeypatch):
         _ch.cache_clear()
 
 
-@pytest.mark.parametrize("cycle, side", [
-    ((3, 2), 100), ((8,), 100), ((2,) * 8, 100), ((16,), 300)])
-def test_large_rectangles_cost_no_more_than_their_strips(cycle, side):
-    # a recursion that closes each branch with n! needs 0.4 s, 0.4 s, 8 s
-    # and ~90 s for these
+@pytest.mark.parametrize("cycle, p, q", [
+    ((3, 2), 100, 100), ((8,), 100, 100), ((2,) * 8, 100, 100),
+    ((16,), 300, 300), ((3,), 2000, 1)])
+def test_large_rectangles_cost_no_more_than_their_strips(cycle, p, q):
+    # a recursion that closes each branch with n! needs 0.3-0.4 s, 0.4 s,
+    # 6-8 s and 60-90 s for the squares; one that tries every pair of rows
+    # for a strip needs about 0.5 s for the column
     _ch.cache_clear()
-    shape = rectangle(side, side)
+    shape = rectangle(p, q)
     start = perf_counter()
     value = normalized_character(Partition(cycle), shape)
     assert perf_counter() - start < 0.1
-    assert value == stanley_eval(Partition(cycle), side, side)
+    assert value == stanley_eval(Partition(cycle), p, q)
 
 
 def test_arguments_are_still_validated():
