@@ -7,7 +7,7 @@ Evaluation methods
             at cycle types of size <= 24 and at p + q <= 10000, the width
             of the bead mask.  The dearest types at the size cap, twelve
             2-cycles and their neighbours, take about 0.03 s cold on
-            24 x 24 and 0.05-0.065 s at p + q = 10000.  bench skips the
+            24 x 24 and 0.05-0.08 s at p + q = 10000.  bench skips the
             oracle past the same caps.
   stanley   signed factorization sum over the Jucys-Murphy content table,
             its characters from one abacus sweep, no MN recursion, only
