@@ -13,7 +13,6 @@ from .closed import (
     coeff_g,
     corollary_poly,
     integrality_witness,
-    leading_square_coeff,
     minus_one_col_char,
     minus_one_row_char,
 )
@@ -35,6 +34,7 @@ from .stanley import (
     BasisMismatch,
     decompose_even_basis,
     jm_factorization_check,
+    leading_square_coeff,
     stanley_eval,
     stanley_poly,
     substitute_ed,

@@ -109,12 +109,6 @@ class _Poly2:
             return NotImplemented
         return self + (-rhs)
 
-    def __rsub__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return rhs + (-self)
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             if other == 0:
@@ -139,18 +133,6 @@ class _Poly2:
         return out
 
     __rmul__ = __mul__
-
-    def __pow__(self, exponent: int):
-        if exponent < 0:
-            raise ValueError("exponent must be non-negative")
-        out = type(self).constant(1)
-        base = self
-        while exponent:
-            if exponent & 1:
-                out = out * base
-            base = base * base
-            exponent >>= 1
-        return out
 
     # comparison and text -----------------------------------------------------
 

@@ -48,12 +48,11 @@ import json
 import sys
 import time
 
-from ._poly import DEPoly
+from ._poly import BiPoly, DEPoly
 from .closed import (
     ch_rect_fast,
     corollary_poly,
     integrality_witness,
-    leading_square_coeff,
     minus_one_col_char,
     minus_one_row_char,
 )
@@ -61,6 +60,7 @@ from .mn import normalized_character
 from .stanley import (
     decompose_even_basis,
     jm_factorization_check,
+    leading_square_coeff,
     stanley_eval,
     stanley_poly,
     substitute_ed,
@@ -78,18 +78,6 @@ FAMILY_CAP = 120
 JM_CAP = 7
 TRANSPOSE_CAP = 10
 GRID_CAP = 60
-
-_SUITES = (
-    "oracle-match",
-    "transpose",
-    "integrality",
-    "vanishing",
-    "jm",
-    "leading-catalan",
-    "basis",
-    "minus-one",
-)
-
 
 def _positive_int(text: str) -> int:
     try:
@@ -349,30 +337,18 @@ def _suite_basis(args) -> list:
     return cases
 
 
-def _falling_product_coeffs(base: int, k: int, negate: bool) -> dict:
-    # coefficients of +-(x + base)(x + base + 1)...(x + base + k - 1)
-    coeffs = {0: 1}
-    for i in range(k):
-        nxt: dict = {}
-        for e, c in coeffs.items():
-            nxt[e + 1] = nxt.get(e + 1, 0) + c
-            nxt[e] = nxt.get(e, 0) + c * (base + i)
-        coeffs = nxt
-    if negate:
-        coeffs = {e: -c for e, c in coeffs.items()}
-    return {e: c for e, c in coeffs.items() if c != 0}
-
-
 def _suite_minus_one(args) -> list:
     cases = []
+    p, q = BiPoly({(1, 0): 1}), BiPoly({(0, 1): 1})
     for k in range(1, min(args.k_max, STANLEY_CAP) + 1):
         def check(k=k):
+            # the products at the formal sides, as coefficients in Q or P
             poly = stanley_poly(Partition((k,)))
-            row = _falling_product_coeffs(0, k, negate=True)
-            if poly.substitute_p(-1) != row:
+            row = minus_one_row_char(k, q).terms()
+            if poly.substitute_p(-1) != {b: c for (_, b), c in row.items()}:
                 return False
-            col = _falling_product_coeffs(0, k, negate=k % 2 == 1)
-            if poly.substitute_q(-1) != col:
+            col = minus_one_col_char(k, p).terms()
+            if poly.substitute_q(-1) != {a: c for (a, _), c in col.items()}:
                 return False
             return (stanley_eval(Partition((k,)), -1, 7)
                     == minus_one_row_char(k, 7)
@@ -392,6 +368,7 @@ _SUITE_BUILDERS = {
     "basis": _suite_basis,
     "minus-one": _suite_minus_one,
 }
+_SUITES = tuple(_SUITE_BUILDERS)
 
 
 def _cmd_verify(args) -> int:

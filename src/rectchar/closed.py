@@ -17,9 +17,13 @@ one integer loop in D = q - p: the factors are 4 n + D^2 - t^2 and
 D^2 - t^2 over the offsets t of the parity of D below |D|, the family
 coefficients are integer polynomials in j over one common denominator, and
 a single checked exact division ends the sum.  closed_char_ed carries the
-same four sums in the (e, d) coordinates without splitting off the linear
-run, which is the form that matches Stanley's polynomial after the
-substitution P = E - D, Q = E + D; it works in Fraction arithmetic, shares
+same sum in the (e, d) coordinates without splitting off the linear run,
+which is the form that matches Stanley's polynomial after the substitution
+P = E - D, Q = E + D.  It is one loop for all four cases: with j the
+ceiling of half the cycle length and h = 0 for odd cycles, 2 for even
+ones, twice its shifts run t0, t0 + 2, ..., with t0 = 1 for diff_parity
+"odd" (q - p odd), else h; the prefactor is the signed catalan number, or
+2 d C(2j - 1, j) for even cycles.  It works in Fraction arithmetic, shares
 no code with the two integer evaluators and serves as their reference.
 ch_rect_fast evaluates that sum for all four cases at once in the integers
 S = 2 e and D = 2 d, and one checked exact division ends it.
@@ -32,6 +36,10 @@ added.  The term is 0 from t = |D| on, and the rest of the pass only
 multiplies in the run of linear factors.  Every product is a long number
 times a short one, so a k-cycle costs about k^2 digit operations (times
 the digits of the sides), whatever |q - p| is.
+
+The module imports only the polynomial type and the exact scalar helpers,
+nothing from the oracle or from Stanley's route, so the three routes stay
+independent in code and can check one another.
 """
 
 from __future__ import annotations
@@ -48,8 +56,6 @@ from .exact import (
     double_rising_factorial,
     falling_factorial,
 )
-from .stanley import stanley_poly, substitute_ed
-from .young import Partition
 
 __all__ = [
     "coeff_f",
@@ -60,8 +66,18 @@ __all__ = [
     "minus_one_row_char",
     "minus_one_col_char",
     "integrality_witness",
-    "leading_square_coeff",
 ]
+
+
+def _coeff(j, k: int, h: int) -> Fraction:
+    # (-1)^k C(j, k) times the odd numbers from 2j - 1 + h up, k of them,
+    # over those from 1 + h up to 2k - 1 + h
+    if k < 0:
+        raise ValueError("k must be non-negative")
+    sign = -1 if k % 2 else 1
+    num = (sign * falling_factorial(j, k)
+           * double_rising_factorial(2 * j - 1 + h, k))
+    return Fraction(num, factorial(k) * double_factorial(2 * k - 1 + h))
 
 
 def coeff_f(j, k: int) -> Fraction:
@@ -72,11 +88,7 @@ def coeff_f(j, k: int) -> Fraction:
     >>> coeff_f(5, 0)
     Fraction(1, 1)
     """
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    sign = -1 if k % 2 else 1
-    num = sign * falling_factorial(j, k) * double_rising_factorial(2 * j - 1, k)
-    return Fraction(num, factorial(k) * double_factorial(2 * k - 1))
+    return _coeff(j, k, 0)
 
 
 def coeff_g(j, k: int) -> Fraction:
@@ -87,11 +99,7 @@ def coeff_g(j, k: int) -> Fraction:
     >>> coeff_g(3, 4)
     Fraction(0, 1)
     """
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    sign = -1 if k % 2 else 1
-    num = sign * falling_factorial(j, k) * double_rising_factorial(2 * j + 1, k)
-    return Fraction(num, factorial(k) * double_factorial(2 * k + 1))
+    return _coeff(j, k, 2)
 
 
 def closed_char_ed(k_cycle: int, e, d, diff_parity: str = "even"):
@@ -112,36 +120,19 @@ def closed_char_ed(k_cycle: int, e, d, diff_parity: str = "even"):
         raise ValueError(f"bad difference parity {diff_parity!r}")
     e2 = Fraction(e) ** 2
     d2 = Fraction(d) ** 2
-    half = diff_parity == "odd"
-    if k_cycle % 2:
-        # shifts 0, 1, ... or 1/2, 3/2, ... depending on diff parity
-        j = (k_cycle + 1) // 2
-        pref = (-1 if j % 2 == 0 else 1) * catalan(j - 1)
-        total = Fraction(0)
-        for k in range(j + 1):
-            term = coeff_f(j, k)
-            for r in range(k):
-                term *= d2 - (Fraction((2 * r + 1) ** 2, 4) if half
-                              else Fraction(r * r))
-            for r in range(k, j):
-                term *= e2 - (Fraction((2 * r + 1) ** 2, 4) if half
-                              else Fraction(r * r))
-            total += term
-        return pref * total
-    # shifts 1, 2, ... or 1/2, 3/2, ... depending on diff parity
-    j = k_cycle // 2
-    pref = (-1 if j % 2 == 0 else 1) * comb(2 * j - 1, j)
-    total = Fraction(0)
-    for k in range(j + 1):
-        term = coeff_g(j, k)
-        for r in range(1, k + 1):
-            term *= d2 - (Fraction((2 * r - 1) ** 2, 4) if half
-                          else Fraction(r * r))
-        for r in range(k + 1, j + 1):
-            term *= e2 - (Fraction((2 * r - 1) ** 2, 4) if half
-                          else Fraction(r * r))
-        total += term
-    return pref * 2 * Fraction(d) * total
+    # a (2j - 1)-cycle (h = 0) or a 2j-cycle (h = 2); the shifts are t / 2
+    # for t = t0, t0 + 2, ...: integers from h / 2, or half-integers from 1/2
+    j = (k_cycle + 1) // 2
+    h = 0 if k_cycle % 2 else 2
+    t0 = 1 if diff_parity == "odd" else h
+    shifts = [Fraction((t0 + 2 * r) ** 2, 4) for r in range(j)]
+    d_run = [d2 - shift for shift in shifts]
+    e_run = [e2 - shift for shift in shifts]
+    total = sum(_coeff(j, k, h) * prod(d_run[:k] + e_run[k:])
+                for k in range(j + 1))
+    sign = -1 if j % 2 == 0 else 1
+    pref = comb(2 * j - 1, j) * 2 * Fraction(d) if h else catalan(j - 1)
+    return sign * pref * total
 
 
 @lru_cache(maxsize=None)
@@ -280,17 +271,16 @@ def minus_one_row_char(k: int, q):
 def minus_one_col_char(k: int, p):
     """Character polynomial of a k-cycle at the formal rectangle p x (-1).
 
+    The transpose of the (-1) x p value: the same for odd k, negated for
+    even k.
+
     >>> minus_one_col_char(3, 4)
     -120
     >>> minus_one_col_char(2, 4)
     20
     """
-    if k < 1:
-        raise ValueError("cycle length must be positive")
-    out = -1 if k % 2 else 1
-    for i in range(k):
-        out = out * (p + i)
-    return out
+    row = minus_one_row_char(k, p)
+    return row if k % 2 else -row
 
 
 def integrality_witness(d: int, k: int) -> Fraction:
@@ -310,28 +300,6 @@ def integrality_witness(d: int, k: int) -> Fraction:
     for r in range(-k + 1, k):
         num *= d + r
     return Fraction(num, factorial(2 * k))
-
-
-def leading_square_coeff(j: int) -> int:
-    """Coefficient of E^(2 j) in the (2 j - 1)-cycle character polynomial.
-
-    Substitutes P = E - D, Q = E + D into Stanley's polynomial for a
-    single odd cycle and reads off the top coefficient in E, checking it
-    against the signed catalan number before returning it.
-
-    >>> leading_square_coeff(2)
-    -1
-    """
-    if j < 1:
-        raise ValueError("j must be positive")
-    poly = substitute_ed(stanley_poly(Partition((2 * j - 1,))))
-    coeff = poly.coefficient(0, 2 * j)
-    expected = (-1 if j % 2 == 0 else 1) * catalan(j - 1)
-    if coeff != expected:
-        raise ArithmeticError(
-            f"leading coefficient {coeff} does not match the catalan value "
-            f"{expected} at j = {j}")
-    return coeff
 
 
 if __name__ == "__main__":

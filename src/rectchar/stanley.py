@@ -37,8 +37,9 @@ for every type of those sizes the packed entries are exactly the nonzero
 ones.
 
 The module also carries the change of variables to (D, E) coordinates,
-the expansion in the even basis prod (D^2 - r^2), and the Jucys-Murphy
-factorization check in the integer group ring, on image tuples.
+the leading E coefficient of an odd cycle read from it, the expansion in
+the even basis prod (D^2 - r^2), and the Jucys-Murphy factorization check
+in the integer group ring, on image tuples.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ from itertools import permutations
 from math import comb, factorial
 
 from ._poly import BiPoly, DEPoly
+from .exact import catalan
 from .young import Partition
 
 __all__ = [
@@ -58,6 +60,7 @@ __all__ = [
     "stanley_eval",
     "stanley_poly",
     "substitute_ed",
+    "leading_square_coeff",
     "decompose_even_basis",
     "jm_factorization_check",
 ]
@@ -278,6 +281,28 @@ def substitute_ed(poly: BiPoly) -> DEPoly:
                 else:
                     acc[key] = value
     return DEPoly(acc)
+
+
+def leading_square_coeff(j: int) -> int:
+    """Coefficient of E^(2 j) in the (2 j - 1)-cycle character polynomial.
+
+    Substitutes P = E - D, Q = E + D into Stanley's polynomial for a
+    single odd cycle and reads off the top coefficient in E, checking it
+    against the signed catalan number before returning it.
+
+    >>> leading_square_coeff(2)
+    -1
+    """
+    if j < 1:
+        raise ValueError("j must be positive")
+    poly = substitute_ed(stanley_poly(Partition((2 * j - 1,))))
+    coeff = poly.coefficient(0, 2 * j)
+    expected = (-1 if j % 2 == 0 else 1) * catalan(j - 1)
+    if coeff != expected:
+        raise ArithmeticError(
+            f"leading coefficient {coeff} does not match the catalan value "
+            f"{expected} at j = {j}")
+    return coeff
 
 
 @lru_cache(maxsize=None)

@@ -1,9 +1,10 @@
 """Partitions, rectangles, transposes and dimensions.
 
-Partitions are immutable, hashable, and validated on construction; all
-functions accept either a Partition or any iterable of parts.  rectangle
-and partitions, which build shapes themselves, validate their own inputs
-once and wrap the tuples they build, partitions by construction, without
+Partitions are immutable, hashable, and validated on construction: a part
+of any type is kept, as an int, only when it equals one.  All functions
+accept either a Partition or any iterable of parts.  rectangle and
+partitions, which build shapes themselves, validate their own inputs once
+and wrap the tuples they build, partitions by construction, without
 checking them again.  f, the number of standard tableaux, comes from the
 hook lengths of the first column or row (beta-numbers), in
 O(min(rows, columns)^2) products rather than one per box.
@@ -25,7 +26,7 @@ __all__ = [
 
 
 class Partition:
-    """A weakly decreasing tuple of positive parts; () is the partition of 0.
+    """A weakly decreasing tuple of positive integers; () partitions 0.
 
     >>> Partition((3, 2)).size
     5
@@ -39,7 +40,10 @@ class Partition:
         if isinstance(parts, Partition):
             self.parts = parts.parts
             return
-        pt = tuple(int(x) for x in parts)
+        given = tuple(parts)
+        pt = tuple(map(int, given))
+        if pt != given:
+            raise ValueError(f"parts must be integers, got {given}")
         previous = None
         for x in pt:
             if x <= 0:
@@ -93,14 +97,14 @@ def _built(parts: tuple[int, ...]) -> Partition:
 
 def rectangle(p: int, q: int) -> Partition:
     """The p x q rectangle: p rows of length q; empty when either side is 0."""
-    if p < 0 or q < 0:
+    rows, row = int(p), int(q)
+    if rows != p or row != q:
+        raise ValueError(f"sides must be integers, got {p!r} x {q!r}")
+    if rows < 0 or row < 0:
         raise ValueError("sides must be non-negative")
-    if p == 0 or q == 0:
+    if rows == 0 or row == 0:
         return Partition()
-    row = int(q)
-    if row != q:
-        raise ValueError(f"row length must be an integer, got {q}")
-    return _built((row,) * p)
+    return _built((row,) * rows)
 
 
 def transpose(shape) -> Partition:

@@ -19,13 +19,13 @@ from rectchar.closed import (
     coeff_f,
     corollary_poly,
     integrality_witness,
-    leading_square_coeff,
 )
 from rectchar.exact import catalan
 from rectchar.mn import normalized_character, one_cycle_character
 from rectchar.stanley import (
     decompose_even_basis,
     jm_factorization_check,
+    leading_square_coeff,
     stanley_eval,
     stanley_poly,
     substitute_ed,

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from polyfixtures import CYCLE_PARITY, EXPECTED
-from rectchar.cli import CLOSED_CAP
+from rectchar.cli import CLOSED_CAP, STANLEY_CAP
 from rectchar.closed import (
     ch_rect_fast,
     closed_char_ed,
@@ -16,7 +16,6 @@ from rectchar.closed import (
     coeff_g,
     corollary_poly,
     integrality_witness,
-    leading_square_coeff,
     minus_one_col_char,
     minus_one_row_char,
 )
@@ -24,6 +23,7 @@ from rectchar.exact import catalan
 from rectchar.mn import normalized_character
 from rectchar.stanley import (
     decompose_even_basis,
+    leading_square_coeff,
     stanley_eval,
     stanley_poly,
     substitute_ed,
@@ -72,6 +72,21 @@ def test_closed_char_ed_matches_stanley_polynomial(k, e, d):
     want = stanley_eval(Partition((k,)), e - d, e + d)
     assert closed_char_ed(k, e, d, "even") == want
     assert closed_char_ed(k, e, d, "odd") == want
+
+
+# (e, d): integers, half-integers, negative, and rationals that are not halves
+_ED_POINTS = ((4, 1), (Fraction(9, 2), Fraction(3, 2)),
+              (Fraction(-5, 2), -3), (Fraction(7, 3), Fraction(2, 5)))
+
+
+def test_closed_char_ed_matches_stanley_up_to_the_stanley_cap():
+    for k in range(1, STANLEY_CAP + 1):
+        pi = Partition((k,))
+        for e, d in _ED_POINTS:
+            want = stanley_eval(pi, e - d, e + d)
+            for parity in ("even", "odd"):
+                assert closed_char_ed(k, e, d, parity) == want, (
+                    k, e, d, parity)
 
 
 def test_corollary_poly_matches_fixtures():

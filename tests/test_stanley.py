@@ -9,6 +9,7 @@ from time import perf_counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import rectchar.closed
 import rectchar.mn
 import rectchar.stanley
 from bruteforce import (
@@ -82,16 +83,19 @@ def _package_imports(module):
 
 
 def test_table_shares_no_code_with_the_oracle():
-    # the Stanley route stays independent of the Murnaghan-Nakayama oracle
-    # both ways: stanley takes nothing from mn, and from young only the
-    # validated Partition; mn takes nothing from stanley or closed
+    # no route module imports another: stanley takes nothing from mn, and
+    # from young only the validated Partition; mn takes nothing from
+    # stanley or closed; closed takes nothing from mn, stanley or young
     imported = _package_imports(rectchar.stanley)
     assert "mn" not in imported and "mn" not in imported.get("", set())
     assert imported["young"] == {"Partition"}
-    imported = _package_imports(rectchar.mn)
-    for route in ("stanley", "closed"):
-        assert route not in imported, route
-        assert route not in imported.get("", set()), route
+    for module, others in ((rectchar.mn, ("stanley", "closed")),
+                           (rectchar.closed, ("mn", "stanley", "young"))):
+        imported = _package_imports(module)
+        for route in others:
+            assert route not in imported, (module.__name__, route)
+            assert route not in imported.get("", set()), (module.__name__,
+                                                          route)
 
 
 def test_joint_table_refuses_a_sum_with_a_remainder(monkeypatch):
@@ -182,6 +186,8 @@ def test_raw_cycle_types_are_still_validated():
             fn((2, 0))
         with pytest.raises(ValueError, match="non-empty"):
             fn(())
+        with pytest.raises(ValueError, match="integers"):
+            fn((2.7, 1))
 
 
 def test_stanley_eval_accepts_exact_non_integers():

@@ -30,6 +30,12 @@ def test_partition_validation():
         Partition((1, 0))
     with pytest.raises(ValueError):
         Partition((-1,))
+    # a part is kept only when it is an integer, whatever its type
+    assert Partition((Fraction(3), 2.0)).parts == (3, 2)
+    assert all(type(x) is int for x in Partition((Fraction(3), 2.0)))
+    for parts in ((2.5, 1), ("3",), (3, Fraction(1, 2))):
+        with pytest.raises(ValueError, match="integers"):
+            Partition(parts)
 
 
 def test_partition_protocols():
@@ -50,7 +56,9 @@ def test_rectangle():
     assert rectangle(5, 0).parts == ()
     assert rectangle(3, Fraction(4)) == Partition((4, 4, 4))
     assert all(type(row) is int for row in rectangle(3, Fraction(4)))
-    for p, q in ((-1, 2), (2, -1), (3, Fraction(1, 2))):
+    assert rectangle(Fraction(2), 3) == Partition((3, 3))
+    for p, q in ((-1, 2), (2, -1), (3, Fraction(1, 2)), (2.5, 2),
+                 (Fraction(3, 2), 4), ("2", 3)):
         with pytest.raises(ValueError):
             rectangle(p, q)
 
