@@ -5,36 +5,20 @@ Evaluation methods
             hook-ratio steps, one per non-unit part of the cycle type,
             memoized across calls on (beta-set, remaining parts); capped
             at cycle types of size <= 24 and at p + q <= 10000, the width
-            of the bead mask.  The dearest types at the size cap, twelve
-            2-cycles and their neighbours, take about 0.03 s cold on
-            24 x 24 and 0.05-0.08 s at p + q = 10000.  bench skips the
-            oracle past the same caps.
+            of the bead mask.
   stanley   signed factorization sum over the Jucys-Murphy content table,
             its characters from one abacus sweep, no MN recursion, only
             the entries that can be nonzero; capped at cycle types of
-            size <= 16, where the dearest cold tables, 1^16 and 2^8, build
-            in about 0.01 s.
-  closed    product formulas; single cycles of length <= 3000 only.  One
-            pass multiplies a long number by short ones only, so the
-            cost grows about as k^2 and with the digits of the sides.
-            Near-square rectangles are cheap (10 ms at k = 3000 on 3001 x 3002)
-            and |q - p| >= k is the dearest case: at k = 3000 about 0.03 s
-            on 1 x 3001 and 0.1 s on 1 x 10^12.  bench refuses the same
-            cycle lengths.
+            size <= 16.
+  closed    product formulas; single cycles of length <= 3000 only.
 
-poly --kind G|H|I|J is capped at |two_d| <= 120, where a family polynomial
-takes about 0.06 s to build and print; its cost grows about as |two_d|^3.
-verify runs the jm suite for k <= 7 only, whatever --k-max says: the check
-builds all k! elements of S_k, about 5 ms at k = 7 and 60 ms at k = 8.  Its
-transpose suite checks the oracle on cycle types of size <= 10 only: on
-every rectangle with p q <= 60 that loop takes about 0.3 s at size 10
-(0.15 s at --pq-max 8) and grows about 1.4x per step.  Its integrality
-suite builds the family polynomials for |two_d| <= min(2 --k-max, 120)
-and checks the witness for |d| <= min(2 --k-max, 120) and
-k <= min(--k-max, 120) only: about 6-7 s at the cap.  Its vanishing suite
-checks j <= 1500 only, cycles 2j - 1 up to the closed cap: about 1.5 s.
-Its oracle-match suite checks single cycles of length <= 61 only: every
-rectangle it admits has at most 60 boxes, so both sides are 0 past that.
+_refusal states each method's caps once: eval refuses an input past them,
+bench refuses a cycle past the closed cap and leaves the oracle and
+stanley out past theirs, and poly --kind stanley takes the stanley cap.
+poly --kind G|H|I|J is capped at |two_d| <= 120.  verify walks one grid,
+the p x q with both sides <= --pq-max and at most 60 boxes, and runs each
+suite within caps of its own.  README's "Caps and exit codes" gives every
+cap with its measured cost.
 
 Exit codes: 0 on success, 1 when a verification or cross-check fails, 2 on
 usage errors including cap violations.
@@ -68,7 +52,7 @@ from .stanley import (
 from .young import Partition, partitions, rectangle
 
 __all__ = ["main", "STANLEY_CAP", "ORACLE_CAP", "ORACLE_WIDTH_CAP",
-           "CLOSED_CAP", "FAMILY_CAP", "JM_CAP", "TRANSPOSE_CAP", "GRID_CAP"]
+           "CLOSED_CAP", "FAMILY_CAP", "JM_CAP", "GRID_CAP"]
 
 STANLEY_CAP = 16
 ORACLE_CAP = 24
@@ -76,7 +60,6 @@ ORACLE_WIDTH_CAP = 10000
 CLOSED_CAP = 3000
 FAMILY_CAP = 120
 JM_CAP = 7
-TRANSPOSE_CAP = 10
 GRID_CAP = 60
 
 def _positive_int(text: str) -> int:
@@ -109,39 +92,52 @@ def _cycle_list(text: str) -> tuple[int, ...]:
     return tuple(ks)
 
 
+# methods -------------------------------------------------------------------
+
+def _refusal(method: str, pi: Partition, p: int, q: int) -> str | None:
+    """Why method refuses the cycle type pi on the p x q rectangle, or None
+    when it accepts them."""
+    if method == "oracle":
+        if pi.size > ORACLE_CAP:
+            return (f"the oracle method is capped at cycle types of size "
+                    f"<= {ORACLE_CAP}, got {pi.size}")
+        if p + q > ORACLE_WIDTH_CAP:
+            return (f"the oracle method is capped at p + q <= "
+                    f"{ORACLE_WIDTH_CAP}, got {p + q}")
+    elif method == "stanley":
+        if pi.size > STANLEY_CAP:
+            return (f"the stanley method is capped at cycle types of size "
+                    f"<= {STANLEY_CAP}, got {pi.size}")
+    elif pi.length != 1:
+        return "the closed method handles a single cycle only"
+    elif pi.size > CLOSED_CAP:
+        return (f"the closed method is capped at cycles of length "
+                f"<= {CLOSED_CAP}, got {pi.size}")
+    return None
+
+
+def _evaluate(method: str, pi: Partition, p: int, q: int) -> int:
+    """The value of the character at pi on p x q by method, which must
+    accept them."""
+    if method == "oracle":
+        return normalized_character(pi, rectangle(p, q))
+    if method == "stanley":
+        return stanley_eval(pi, p, q)
+    return ch_rect_fast(pi.parts[0], p, q)
+
+
 # eval ----------------------------------------------------------------------
 
 def _cmd_eval(args) -> int:
     pi: Partition = args.cycle
     p, q = args.p, args.q
     n = p * q
-    if args.method == "oracle" and pi.size > ORACLE_CAP:
-        print(f"eval: the oracle method is capped at cycle types of size "
-              f"<= {ORACLE_CAP}, got {pi.size}", file=sys.stderr)
-        return 2
-    if args.method == "oracle" and p + q > ORACLE_WIDTH_CAP:
-        print(f"eval: the oracle method is capped at p + q <= "
-              f"{ORACLE_WIDTH_CAP}, got {p + q}", file=sys.stderr)
-        return 2
-    if args.method == "stanley" and pi.size > STANLEY_CAP:
-        print(f"eval: the stanley method is capped at cycle types of size "
-              f"<= {STANLEY_CAP}, got {pi.size}", file=sys.stderr)
-        return 2
-    if args.method == "closed" and pi.length != 1:
-        print("eval: the closed method handles a single cycle only",
-              file=sys.stderr)
-        return 2
-    if args.method == "closed" and pi.size > CLOSED_CAP:
-        print(f"eval: the closed method is capped at cycles of length "
-              f"<= {CLOSED_CAP}, got {pi.size}", file=sys.stderr)
+    why = _refusal(args.method, pi, p, q)
+    if why is not None:
+        print(f"eval: {why}", file=sys.stderr)
         return 2
     start = time.perf_counter_ns()
-    if args.method == "oracle":
-        value = normalized_character(pi, rectangle(p, q))
-    elif args.method == "stanley":
-        value = stanley_eval(pi, p, q)
-    else:
-        value = ch_rect_fast(pi.parts[0], p, q)
+    value = _evaluate(args.method, pi, p, q)
     elapsed = time.perf_counter_ns() - start
     text = str(value)
     if args.format == "json":
@@ -171,9 +167,10 @@ def _cmd_poly(args) -> int:
         if args.cycle is None:
             print("poly: --cycle is required for kind stanley", file=sys.stderr)
             return 2
-        if args.cycle.size > STANLEY_CAP:
-            print(f"poly: kind stanley is capped at cycle types of size "
-                  f"<= {STANLEY_CAP}, got {args.cycle.size}", file=sys.stderr)
+        # the stanley cap does not depend on the sides
+        why = _refusal("stanley", args.cycle, 1, 1)
+        if why is not None:
+            print(f"poly: {why}", file=sys.stderr)
             return 2
         print(stanley_poly(args.cycle))
         return 0
@@ -203,58 +200,57 @@ def _iter_cycle_types(k_max: int):
         yield from partitions(size)
 
 
+def _grid(args) -> tuple[tuple[int, int], ...]:
+    """The rectangles p x q the suites check, rows first: both sides at
+    most --pq-max and at most GRID_CAP boxes."""
+    return tuple((p, q) for p in range(1, min(args.pq_max, GRID_CAP) + 1)
+                 for q in range(1, min(args.pq_max, GRID_CAP // p) + 1))
+
+
 def _suite_oracle_match(args) -> list:
     cases = []
+    grid = _grid(args)
     for pi in _iter_cycle_types(min(args.k_max, STANLEY_CAP)):
         shown = str(pi)
-        for p in range(1, args.pq_max + 1):
-            for q in range(1, args.pq_max + 1):
-                if p * q > GRID_CAP:
-                    continue
-                def check(pi=pi, p=p, q=q):
-                    want = normalized_character(pi, rectangle(p, q))
-                    got = stanley_eval(pi, p, q)
-                    return got == want or f"stanley={got} oracle={want}"
-                cases.append((f"oracle-match stanley pi={shown} p={p} q={q}",
-                              check))
-    # past GRID_CAP + 1 both sides are 0 on every rectangle admitted here
+        for p, q in grid:
+            def check(pi=pi, p=p, q=q):
+                want = normalized_character(pi, rectangle(p, q))
+                got = stanley_eval(pi, p, q)
+                return got == want or f"stanley={got} oracle={want}"
+            cases.append((f"oracle-match stanley pi={shown} p={p} q={q}",
+                          check))
+    # past GRID_CAP + 1 both sides are 0 on every rectangle of the grid
     for k in range(1, min(args.k_max, GRID_CAP + 1) + 1):
-        for p in range(1, args.pq_max + 1):
-            for q in range(1, args.pq_max + 1):
-                if p * q > GRID_CAP:
-                    continue
-                def check(k=k, p=p, q=q):
-                    want = normalized_character(Partition((k,)),
-                                                rectangle(p, q))
-                    got = ch_rect_fast(k, p, q)
-                    return got == want or f"closed={got} oracle={want}"
-                cases.append((f"oracle-match closed k={k} p={p} q={q}", check))
+        for p, q in grid:
+            def check(k=k, p=p, q=q):
+                want = normalized_character(Partition((k,)), rectangle(p, q))
+                got = ch_rect_fast(k, p, q)
+                return got == want or f"closed={got} oracle={want}"
+            cases.append((f"oracle-match closed k={k} p={p} q={q}", check))
     return cases
 
 
 def _suite_transpose(args) -> list:
     cases = []
-    for pi in _iter_cycle_types(min(args.k_max, STANLEY_CAP)):
+    types = tuple(_iter_cycle_types(min(args.k_max, STANLEY_CAP)))
+    for pi in types:
         sign = -1 if (pi.size - pi.length) % 2 else 1
         def check(pi=pi, sign=sign):
             poly = stanley_poly(pi)
             swapped, signed = poly.swap(), sign * poly
             return swapped == signed or f"swapped={swapped} signed={signed}"
         cases.append((f"transpose poly pi={pi}", check))
-    for pi in _iter_cycle_types(min(args.k_max, TRANSPOSE_CAP)):
+    wide = tuple((p, q) for p, q in _grid(args) if q > p)
+    for pi in types:
         shown = str(pi)
         sign = -1 if (pi.size - pi.length) % 2 else 1
-        for p in range(1, args.pq_max + 1):
-            for q in range(p + 1, args.pq_max + 1):
-                if p * q > GRID_CAP:
-                    continue
-                def check(pi=pi, p=p, q=q, sign=sign):
-                    left = normalized_character(pi, rectangle(q, p))
-                    right = sign * normalized_character(pi, rectangle(p, q))
-                    return left == right or (f"oracle({q}x{p})={left} "
-                                             f"signed oracle({p}x{q})={right}")
-                cases.append((f"transpose oracle pi={shown} p={p} q={q}",
-                              check))
+        for p, q in wide:
+            def check(pi=pi, p=p, q=q, sign=sign):
+                left = normalized_character(pi, rectangle(q, p))
+                right = sign * normalized_character(pi, rectangle(p, q))
+                return left == right or (f"oracle({q}x{p})={left} "
+                                         f"signed oracle({p}x{q})={right}")
+            cases.append((f"transpose oracle pi={shown} p={p} q={q}", check))
     return cases
 
 
@@ -410,27 +406,20 @@ def _cmd_verify(args) -> int:
 # bench ------------------------------------------------------------------------
 
 def _cmd_bench(args) -> int:
-    if args.k[-1] > CLOSED_CAP:
-        print(f"bench: the closed method is capped at cycles of length "
-              f"<= {CLOSED_CAP}, got {args.k[-1]}", file=sys.stderr)
-        return 2
     p, q = args.p, args.q
+    why = _refusal("closed", Partition((args.k[-1],)), p, q)
+    if why is not None:
+        print(f"bench: {why}", file=sys.stderr)
+        return 2
     rows = []
     for k in args.k:
+        pi = Partition((k,))
         values = {}
         for method in ("closed", "oracle", "stanley"):
-            if method == "oracle" and (k > ORACLE_CAP
-                                       or p + q > ORACLE_WIDTH_CAP):
-                continue
-            if method == "stanley" and k > STANLEY_CAP:
+            if _refusal(method, pi, p, q) is not None:
                 continue
             start = time.perf_counter_ns()
-            if method == "closed":
-                value = ch_rect_fast(k, p, q)
-            elif method == "oracle":
-                value = normalized_character(Partition((k,)), rectangle(p, q))
-            else:
-                value = stanley_eval(Partition((k,)), p, q)
+            value = _evaluate(method, pi, p, q)
             elapsed = time.perf_counter_ns() - start
             values[method] = value
             rows.append([method, k, p, q, elapsed, str(value)])

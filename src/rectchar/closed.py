@@ -105,9 +105,10 @@ def coeff_g(j, k: int) -> Fraction:
 def closed_char_ed(k_cycle: int, e, d, diff_parity: str = "even"):
     """Single-cycle rectangle character in the (e, d) coordinates.
 
-    e and d may be integers or fractions.  diff_parity selects integer or
-    half-integer shifts in the structured sum; the two choices agree
-    identically in e and d, so either evaluates the same polynomial.
+    e and d may be ints or Fractions; any other type, a float included,
+    raises TypeError.  diff_parity selects integer or half-integer shifts
+    in the structured sum; the two choices agree identically in e and d,
+    so either evaluates the same polynomial.
 
     >>> closed_char_ed(3, Fraction(2), Fraction(0))
     Fraction(-12, 1)
@@ -118,6 +119,10 @@ def closed_char_ed(k_cycle: int, e, d, diff_parity: str = "even"):
         raise ValueError("cycle length must be positive")
     if diff_parity not in ("even", "odd"):
         raise ValueError(f"bad difference parity {diff_parity!r}")
+    for label, value in (("e", e), ("d", d)):
+        if not isinstance(value, (int, Fraction)):
+            raise TypeError(f"{label} must be an int or a Fraction, "
+                            f"got {type(value).__name__}")
     e2 = Fraction(e) ** 2
     d2 = Fraction(d) ** 2
     # a (2j - 1)-cycle (h = 0) or a 2j-cycle (h = 2); the shifts are t / 2

@@ -30,8 +30,9 @@ sgn(s1) sgn(s2) = sgn(w) to c1 + c2 = k + l(pi) (mod 2).  The content sum
 accumulates those entries only (for 1^k just the diagonal), and the
 entries it finds must add up to the k! factorizations, so none can lie
 outside.  The dearest cold tables under the cap, 1^16 and 2^8, take about
-0.01 s.  Values and polynomials read a packed form of the table that keeps
-just those entries, each row c1 as every second c2 between its bounds:
+0.01 s.  The table is cached, once per cycle type, in a packed form that
+keeps just those entries, each row c1 as every second c2 between its
+bounds, and values and polynomials read that form:
 at k = 7-9 that is 17-27 entries where the square table has 64-100, and
 for every type of those sizes the packed entries are exactly the nonzero
 ones.
@@ -144,9 +145,11 @@ def _spans(k: int, length: int) -> tuple[tuple[int, int, int], ...]:
 
 
 @lru_cache(maxsize=None)
-def _joint_cycle_table(parts: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """Entry (c1, c2) counts the factorizations s1 s2 = w of a permutation
-    w of cycle type parts with c1 cycles in s1 and c2 in s2.
+def _joint_cycle_table(parts: tuple[int, ...]) -> tuple:
+    """The joint table of cycle counts of the factorizations s1 s2 = w of a
+    permutation w of cycle type parts, packed: one (first, counts) per row
+    c1 of _spans, counts[i] the factorizations with c1 cycles in s1 and
+    first + 2 i in s2.  The rows are c1 = 1..k for a non-empty type.
 
     Built from the content identity in the module docstring, in integers,
     on the entries _spans admits only, with one checked exact division by
@@ -166,33 +169,25 @@ def _joint_cycle_table(parts: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
                 for b in range(first, last + 1, 2):
                     row[b] += scaled * coeffs[b]
     order = factorial(k)
-    if any(entry % order for row in acc for entry in row):
+    rows = [(first, acc[c1][first:last + 1:2]) for c1, first, last in spans]
+    if any(entry % order for _, row in rows for entry in row):
         raise ArithmeticError(
             f"content sum for {parts} is not divisible by {k}!")
-    table = tuple(tuple(entry // order for entry in row) for row in acc)
-    if sum(map(sum, table)) != order:
+    table = tuple((first, tuple(entry // order for entry in row))
+                  for first, row in rows)
+    if sum(sum(counts) for _, counts in table) != order:
         raise ArithmeticError(
             f"joint table of {parts} misses factorizations outside the spans")
     return table
 
 
-@lru_cache(maxsize=None)
-def _packed_table(parts: tuple[int, ...]) -> tuple:
-    """Rows c1 = 1..k of the joint table of a non-empty cycle type, each as
-    (first, counts): the entries at c2 = first, first + 2, ... up to the
-    last one _spans admits.
-    """
-    table = _joint_cycle_table(parts)
-    return tuple((first, table[c1][first:last + 1:2])
-                 for c1, first, last in _spans(sum(parts), len(parts)))
-
-
 def stanley_eval(pi, p, q):
     """Normalized character of the p x q rectangle at the cycle type pi.
 
-    p and q may be any rationals, not only positive integers; the value
-    is the character polynomial evaluated there, an int when p and q are
-    ints and a Fraction otherwise.
+    p and q may be any ints or Fractions, not only positive integers; the
+    value is the character polynomial evaluated there, an int when p and q
+    are ints and a Fraction otherwise.  Any other type, a float included,
+    raises TypeError: its value is not exact.
 
     >>> stanley_eval(Partition((2,)), 2, 3)
     6
@@ -200,7 +195,7 @@ def stanley_eval(pi, p, q):
     parts = pi.parts if isinstance(pi, Partition) else Partition(pi).parts
     if not parts:
         raise ValueError("cycle type must be non-empty")
-    rows = _packed_table(parts)
+    rows = _joint_cycle_table(parts)
     k = sum(parts)
     # With p = a/b and -q = c/d, (b d)^k times the value is an integer: one
     # homogeneous Horner pass over the packed rows, in c1 with (c, d)
@@ -218,10 +213,10 @@ def stanley_eval(pi, p, q):
             total = total * c + inner * a ** first
         total *= c
         return -total if k % 2 else total
-    if not isinstance(p, Fraction):
-        p = Fraction(p)
-    if not isinstance(q, Fraction):
-        q = Fraction(q)
+    for side in (p, q):
+        if not isinstance(side, (int, Fraction)):
+            raise TypeError(f"rectangle sides must be ints or Fractions, "
+                            f"got {type(side).__name__}")
     a, b = p.numerator, p.denominator
     c, d = -q.numerator, q.denominator
     a2, b2 = a * a, b * b
@@ -254,7 +249,7 @@ def _stanley_poly_cached(parts: tuple[int, ...]) -> BiPoly:
     # the term P^c2 Q^c1 has the sign of (-1)^(k + c1)
     sign = -1 if sum(parts) % 2 else 1
     terms = {}
-    for c1, (first, counts) in enumerate(_packed_table(parts), 1):
+    for c1, (first, counts) in enumerate(_joint_cycle_table(parts), 1):
         row_sign = -sign if c1 % 2 else sign
         for j, count in enumerate(counts):
             if count:

@@ -1,11 +1,13 @@
 """End-to-end tests for the command line interface."""
 
 import csv
+import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -20,7 +22,6 @@ from rectchar.cli import (
     ORACLE_CAP,
     ORACLE_WIDTH_CAP,
     STANLEY_CAP,
-    TRANSPOSE_CAP,
     main,
 )
 from rectchar.mn import normalized_character
@@ -298,13 +299,13 @@ def test_verify_transpose_oracle_stops_at_its_cap(capsys, monkeypatch):
     monkeypatch.setattr("rectchar.cli.stanley_poly",
                         lambda pi: BiPoly.zero())
     code, out, _ = run(capsys, "verify", "--suite", "transpose",
-                       "--k-max", str(TRANSPOSE_CAP + 2), "--pq-max", "2")
+                       "--k-max", str(STANLEY_CAP + 2), "--pq-max", "2")
     assert code == 0
-    assert sizes == set(range(1, TRANSPOSE_CAP + 1))
+    assert sizes == set(range(1, STANLEY_CAP + 1))
     oracle_lines = [line for line in out.splitlines()
                     if line.startswith("PASS transpose oracle")]
     assert len(oracle_lines) == sum(
-        1 for size in range(1, TRANSPOSE_CAP + 1) for _ in partitions(size))
+        1 for size in range(1, STANLEY_CAP + 1) for _ in partitions(size))
 
 
 def test_verify_integrality_families_stop_at_their_cap(capsys, monkeypatch):
@@ -388,6 +389,36 @@ def test_verify_all_suites_small_bounds(capsys):
     assert code == 0
     assert "FAIL" not in out
     assert out.splitlines()[-1].endswith("0 failed")
+
+
+@pytest.mark.parametrize("argv, digest, summary", [
+    (("--k-max", "7", "--pq-max", "7", "--threads", "1"),
+     "51252d25b8d158788fa1175eaf06ea9dcedbd1e1a584c516cecb5464a0ea4036",
+     "verify: 3579 passed, 0 failed"),
+    ((), "231458fb4770b3e686be5f83cb1a7e21c7ae4465d31576936dab09520830fde5",
+     "verify: 1822 passed, 0 failed"),
+], ids=("k7-pq7", "defaults"))
+def test_verify_case_list_is_pinned(capsys, argv, digest, summary):
+    # every case name, its order and its outcome, as a digest of stdout
+    code, out, _ = run(capsys, "verify", "--suite", "all", *argv)
+    assert code == 0
+    assert out.splitlines()[-1] == summary
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("suite, k_max", [("oracle-match", "1"),
+                                          ("transpose", "2")])
+def test_verify_grid_cost_does_not_grow_with_pq_max(capsys, suite, k_max):
+    # no rectangle past GRID_CAP boxes is checked, so --pq-max past it
+    # changes neither the cases nor the cost of listing them
+    _, want, _ = run(capsys, "verify", "--suite", suite, "--k-max", k_max,
+                     "--pq-max", str(GRID_CAP))
+    start = time.perf_counter()
+    code, got, _ = run(capsys, "verify", "--suite", suite, "--k-max", k_max,
+                       "--pq-max", "10000")
+    elapsed = time.perf_counter() - start
+    assert code == 0 and got == want
+    assert elapsed < 1.0
 
 
 def test_verify_thread_count_does_not_change_output(capsys):

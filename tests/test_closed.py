@@ -59,6 +59,14 @@ def test_closed_char_ed_examples():
         closed_char_ed(3, 2, 0, "half")
 
 
+def test_closed_char_ed_refuses_inexact_coordinates():
+    # a float would leak its binary expansion into the exact value
+    assert closed_char_ed(1, Fraction(1, 10), 0) == Fraction(1, 100)
+    for e, d in ((0.1, 0), (2, 0.5), (2.0, 0.0), ("2", 0), (2, None)):
+        with pytest.raises(TypeError, match="an int or a Fraction"):
+            closed_char_ed(1, e, d)
+
+
 def test_closed_char_ed_parity_in_d():
     for e in (Fraction(7, 2), 4):
         for d in (Fraction(3, 2), 2):

@@ -42,12 +42,25 @@ def _cycle_types(max_size):
 
 # the joint cycle table -------------------------------------------------------
 
+def dense_table(parts):
+    """The joint cycle table of parts as (k + 1) x (k + 1) nested lists,
+    expanded from its packed rows; entries outside the spans are 0."""
+    k = sum(parts)
+    table = [[0] * (k + 1) for _ in range(k + 1)]
+    rows = _joint_cycle_table(parts)
+    spans = _spans(k, len(parts))
+    assert len(rows) == len(spans)
+    for (c1, first, last), (start, counts) in zip(spans, rows):
+        assert start == first and len(counts) == (last - first) // 2 + 1
+        table[c1][first:last + 1:2] = counts
+    return table
+
+
 def test_joint_table_matches_bruteforce():
     for k in range(9):
         for pi in partitions(k):
             w = cycle_type_representative(pi.parts)
-            table = [list(row) for row in _joint_cycle_table(pi.parts)]
-            assert table == factorization_table(w), pi
+            assert dense_table(pi.parts) == factorization_table(w), pi
 
 
 def _beta_set(parts, k):
@@ -129,13 +142,14 @@ def test_joint_table_refuses_entries_outside_the_spans(monkeypatch):
 
 
 def test_joint_table_trivial_sizes():
-    assert _joint_cycle_table(()) == ((1,),)
-    assert _joint_cycle_table((1,)) == ((0, 0), (0, 1))
+    assert dense_table(()) == [[1]]
+    assert dense_table((1,)) == [[0, 0], [0, 1]]
+    assert _joint_cycle_table((1,)) == ((1, (1,)),)
 
 
 def test_joint_table_total_and_marginals_are_stirling():
     for k in range(1, 13):
-        table = _joint_cycle_table((k,))
+        table = dense_table((k,))
         assert sum(map(sum, table)) == factorial(k)
         stirling = stirling_first_unsigned(k)
         row_marginal = [sum(row) for row in table]
@@ -146,14 +160,14 @@ def test_joint_table_total_and_marginals_are_stirling():
 
 def test_joint_table_symmetry():
     for parts in ((2, 2, 1), (3, 1), (6,), (4, 3, 2, 1), (5, 5, 2)):
-        table = _joint_cycle_table(parts)
+        table = dense_table(parts)
         assert all(table[a][b] == table[b][a]
                    for a in range(len(table)) for b in range(len(table)))
 
 
 def test_joint_table_identity_is_diagonal():
     for k in range(1, 10):
-        table = _joint_cycle_table((1,) * k)
+        table = dense_table((1,) * k)
         stirling = stirling_first_unsigned(k)
         for a in range(k + 1):
             for b in range(k + 1):
@@ -171,6 +185,15 @@ def test_stanley_eval_examples():
         stanley_eval(Partition(()), 2, 2)
     with pytest.raises(ValueError):
         stanley_poly(Partition(()))
+
+
+def test_stanley_eval_refuses_inexact_sides():
+    # a float side would leak its binary expansion into an exact value
+    assert stanley_eval(Partition((1,)), Fraction(1, 10), 1) == Fraction(1, 10)
+    assert stanley_eval(Partition((2,)), 2, Fraction(3)) == 6
+    for p, q in ((0.1, 1), (1, 0.5), (2.0, 3.0), ("2", 3), (2, None)):
+        with pytest.raises(TypeError, match="ints or Fractions"):
+            stanley_eval(Partition((1,)), p, q)
 
 
 def test_raw_cycle_types_are_still_validated():
