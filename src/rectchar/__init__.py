@@ -3,7 +3,10 @@
 Three independent evaluation paths are exposed: the Murnaghan-Nakayama
 recursion over arbitrary shapes, Stanley's signed factorization sum
 specialized to rectangles, and closed product formulas for single cycles.
-All arithmetic is exact; no floats appear anywhere.
+All arithmetic is exact; no floats appear anywhere.  A number argument
+must be an int, or an int or a Fraction where a rational value makes
+sense; rectchar.exact states that rule once, and anything else raises
+TypeError.
 """
 
 from .closed import (
@@ -16,12 +19,7 @@ from .closed import (
     minus_one_col_char,
     minus_one_row_char,
 )
-from .exact import (
-    catalan,
-    double_factorial,
-    double_rising_factorial,
-    falling_factorial,
-)
+from .exact import catalan
 from .mn import (
     OutOfRange,
     SizeMismatch,
@@ -66,9 +64,6 @@ __all__ = [
     "corollary_poly",
     "decompose_even_basis",
     "dim_f",
-    "double_factorial",
-    "double_rising_factorial",
-    "falling_factorial",
     "integrality_witness",
     "jm_factorization_check",
     "leading_square_coeff",

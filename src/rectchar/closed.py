@@ -37,9 +37,10 @@ multiplies in the run of linear factors.  Every product is a long number
 times a short one, so a k-cycle costs about k^2 digit operations (times
 the digits of the sides), whatever |q - p| is.
 
-The module imports only the polynomial type and the exact scalar helpers,
-nothing from the oracle or from Stanley's route, so the three routes stay
-independent in code and can check one another.
+The module imports only the polynomial types and the exactness rule and
+Catalan numbers of rectchar.exact, nothing from the oracle or from
+Stanley's route, so the three routes stay independent in code and can
+check one another.
 """
 
 from __future__ import annotations
@@ -47,15 +48,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
-from math import comb, factorial, prod
+from math import comb, factorial, perm, prod
 
-from ._poly import JNPoly
-from .exact import (
-    catalan,
-    double_factorial,
-    double_rising_factorial,
-    falling_factorial,
-)
+from ._poly import BiPoly, JNPoly
+from .exact import catalan, integer, rational
 
 __all__ = [
     "coeff_f",
@@ -69,18 +65,17 @@ __all__ = [
 ]
 
 
-def _coeff(j, k: int, h: int) -> Fraction:
+def _coeff(j: int, k: int, h: int) -> Fraction:
     # (-1)^k C(j, k) times the odd numbers from 2j - 1 + h up, k of them,
     # over those from 1 + h up to 2k - 1 + h
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    sign = -1 if k % 2 else 1
-    num = (sign * falling_factorial(j, k)
-           * double_rising_factorial(2 * j - 1 + h, k))
-    return Fraction(num, factorial(k) * double_factorial(2 * k - 1 + h))
+    if integer("j", j) < 0 or integer("k", k) < 0:
+        raise ValueError("j and k must be non-negative")
+    num = perm(j, k) * prod(range(2 * j - 1 + h, 2 * j - 1 + h + 2 * k, 2))
+    den = factorial(k) * prod(range(1 + h, 2 * k + h, 2))
+    return Fraction(-num if k % 2 else num, den)
 
 
-def coeff_f(j, k: int) -> Fraction:
+def coeff_f(j: int, k: int) -> Fraction:
     """Interior coefficient for the odd-cycle families G and H.
 
     >>> coeff_f(2, 1)
@@ -91,7 +86,7 @@ def coeff_f(j, k: int) -> Fraction:
     return _coeff(j, k, 0)
 
 
-def coeff_g(j, k: int) -> Fraction:
+def coeff_g(j: int, k: int) -> Fraction:
     """Interior coefficient for the even-cycle families I and J.
 
     >>> coeff_g(1, 1)
@@ -105,26 +100,23 @@ def coeff_g(j, k: int) -> Fraction:
 def closed_char_ed(k_cycle: int, e, d, diff_parity: str = "even"):
     """Single-cycle rectangle character in the (e, d) coordinates.
 
-    e and d may be ints or Fractions; any other type, a float included,
-    raises TypeError.  diff_parity selects integer or half-integer shifts
-    in the structured sum; the two choices agree identically in e and d,
-    so either evaluates the same polynomial.
+    e and d may be ints or Fractions; any other type, a float or a bool
+    included, raises TypeError (rectchar.exact.rational).  diff_parity
+    selects integer or half-integer shifts in the structured sum; the two
+    choices agree identically in e and d, so either evaluates the same
+    polynomial.
 
     >>> closed_char_ed(3, Fraction(2), Fraction(0))
     Fraction(-12, 1)
     >>> closed_char_ed(2, Fraction(5, 2), Fraction(1, 2), "odd")
     Fraction(6, 1)
     """
-    if k_cycle < 1:
+    if integer("cycle length", k_cycle) < 1:
         raise ValueError("cycle length must be positive")
     if diff_parity not in ("even", "odd"):
         raise ValueError(f"bad difference parity {diff_parity!r}")
-    for label, value in (("e", e), ("d", d)):
-        if not isinstance(value, (int, Fraction)):
-            raise TypeError(f"{label} must be an int or a Fraction, "
-                            f"got {type(value).__name__}")
-    e2 = Fraction(e) ** 2
-    d2 = Fraction(d) ** 2
+    e2 = Fraction(rational("e", e)) ** 2
+    d2 = Fraction(rational("d", d)) ** 2
     # a (2j - 1)-cycle (h = 0) or a 2j-cycle (h = 2); the shifts are t / 2
     # for t = t0, t0 + 2, ...: integers from h / 2, or half-integers from 1/2
     j = (k_cycle + 1) // 2
@@ -140,7 +132,7 @@ def closed_char_ed(k_cycle: int, e, d, diff_parity: str = "even"):
     return sign * pref * total
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def corollary_poly(two_d: int, cycle_parity: str) -> JNPoly:
     """The family polynomial for the stated half-difference d = two_d / 2.
 
@@ -154,6 +146,7 @@ def corollary_poly(two_d: int, cycle_parity: str) -> JNPoly:
     >>> print(corollary_poly(0, "even"))
     0
     """
+    integer("two_d", two_d)
     if cycle_parity not in ("odd", "even"):
         raise ValueError(f"bad cycle parity {cycle_parity!r}")
     # Four times each factor of the (e, d) sum, with e^2 = N + d^2, in the
@@ -213,13 +206,9 @@ def ch_rect_fast(k_cycle: int, p: int, q: int) -> int:
     >>> ch_rect_fast(1, 1, 5)
     5
     """
-    for label, value in (("cycle length", k_cycle), ("p", p), ("q", q)):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise TypeError(
-                f"{label} must be an int, got {type(value).__name__}")
-    if k_cycle < 1:
+    if integer("cycle length", k_cycle) < 1:
         raise ValueError("cycle length must be positive")
-    if p < 1 or q < 1:
+    if integer("p", p) < 1 or integer("q", q) < 1:
         raise ValueError("rectangle sides must be positive")
     if k_cycle >= p + q:
         return 0
@@ -262,11 +251,16 @@ def ch_rect_fast(k_cycle: int, p: int, q: int) -> int:
 def minus_one_row_char(k: int, q):
     """Character polynomial of a k-cycle at the formal rectangle (-1) x q.
 
+    q is an int, a Fraction (rectchar.exact.rational) or a BiPoly, such as
+    the formal side Q itself.
+
     >>> minus_one_row_char(3, 4)
     -120
     """
-    if k < 1:
+    if integer("k", k) < 1:
         raise ValueError("cycle length must be positive")
+    if not isinstance(q, BiPoly):
+        rational("side", q)
     out = -1
     for i in range(k):
         out = out * (q + i)
@@ -299,9 +293,9 @@ def integrality_witness(d: int, k: int) -> Fraction:
     >>> integrality_witness(-5, 3)
     Fraction(35, 1)
     """
-    if k < 0:
+    if integer("k", k) < 0:
         raise ValueError("k must be non-negative")
-    num = 2 * d
+    num = 2 * integer("d", d)
     for r in range(-k + 1, k):
         num *= d + r
     return Fraction(num, factorial(2 * k))

@@ -1,12 +1,17 @@
-"""Exact scalar arithmetic for the factorial families behind character formulas.
+"""The package's one rule for exact numbers, and the Catalan numbers.
 
-Everything here is exact: integers are Python ints and rationals are
-``fractions.Fraction``.  No floating point is used anywhere in the package.
+Every public function that takes a number asks integer or rational here
+instead of checking for itself.  An integer argument (a part, a side, a
+cycle length or an index) must be an int; a rational one (a side or a
+coordinate a polynomial is evaluated at) may also be a
+``fractions.Fraction``.  A float, a bool, a string, None or anything else
+raises TypeError, even when it equals an integer: its value is not exact,
+or is not a number.  No floating point is used anywhere in the package.
 
->>> falling_factorial(4, 3)
-24
->>> double_factorial(-1)
-1
+>>> integer("k", 3)
+3
+>>> rational("p", Fraction(1, 2))
+Fraction(1, 2)
 >>> catalan(4)
 14
 """
@@ -14,70 +19,52 @@ Everything here is exact: integers are Python ints and rationals are
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import comb
 
 __all__ = [
-    "falling_factorial",
-    "double_rising_factorial",
-    "double_factorial",
+    "integer",
+    "rational",
     "catalan",
 ]
 
 
-def falling_factorial(a: int | Fraction, k: int) -> int | Fraction:
-    """a (a - 1) ... (a - k + 1), with the empty product equal to 1.
+def integer(name: str, value):
+    """value, when it is an int and not a bool; TypeError otherwise.
 
-    >>> falling_factorial(6, 2)
-    30
-    >>> falling_factorial(Fraction(1, 2), 2)
-    Fraction(-1, 4)
+    >>> integer("k", True)
+    Traceback (most recent call last):
+    ...
+    TypeError: k must be an int, got bool
     """
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    out: int | Fraction = 1
-    for i in range(k):
-        out *= a - i
-    return out
+    if isinstance(value, int) and type(value) is not bool:
+        return value
+    raise TypeError(f"{name} must be an int, got {type(value).__name__}")
 
 
-def double_rising_factorial(a: int | Fraction, k: int) -> int | Fraction:
-    """a (a + 2) (a + 4) ... (a + 2(k - 1)), with the empty product equal to 1.
+def rational(name: str, value):
+    """value, when it is an int (not a bool) or a Fraction; TypeError
+    otherwise.
 
-    >>> double_rising_factorial(3, 2)
-    15
+    >>> rational("q", 0.5)
+    Traceback (most recent call last):
+    ...
+    TypeError: q must be an int or a Fraction, got float
     """
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    out: int | Fraction = 1
-    for i in range(k):
-        out *= a + 2 * i
-    return out
-
-
-def double_factorial(m: int) -> int:
-    """m!! for odd m >= -1, with (-1)!! == 1.
-
-    >>> double_factorial(5)
-    15
-    """
-    if m < -1 or m % 2 == 0:
-        raise ValueError(f"double factorial needs an odd argument >= -1, got {m}")
-    out = 1
-    while m > 1:
-        out *= m
-        m -= 2
-    return out
+    if isinstance(value, (int, Fraction)) and type(value) is not bool:
+        return value
+    raise TypeError(
+        f"{name} must be an int or a Fraction, got {type(value).__name__}")
 
 
 def catalan(m: int) -> int:
-    """The m-th Catalan number (2m)! / (m! (m+1)!), by exact division.
+    """The m-th Catalan number C(2m, m) / (m + 1), by exact division.
 
     >>> [catalan(m) for m in range(6)]
     [1, 1, 2, 5, 14, 42]
     """
-    if m < 0:
+    if integer("m", m) < 0:
         raise ValueError("m must be non-negative")
-    return factorial(2 * m) // (factorial(m) * factorial(m + 1))
+    return comb(2 * m, m) // (m + 1)
 
 
 if __name__ == "__main__":

@@ -37,6 +37,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import perm
 
+from .exact import integer
 from .young import Partition, _dim_from_parts
 
 __all__ = [
@@ -187,7 +188,7 @@ def one_cycle_character(shape, k: int) -> int:
     -1
     """
     lam = Partition(shape)
-    if k < 1 or k > lam.size:
+    if not 1 <= integer("k", k) <= lam.size:
         raise OutOfRange(f"cycle length {k} does not fit in a diagram of "
                          f"size {lam.size}")
     return _chi(lam.parts, (k,) if k > 1 else ())

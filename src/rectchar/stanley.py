@@ -51,7 +51,7 @@ from itertools import permutations
 from math import comb, factorial
 
 from ._poly import BiPoly, DEPoly
-from .exact import catalan
+from .exact import catalan, integer, rational
 from .young import Partition
 
 __all__ = [
@@ -186,8 +186,8 @@ def stanley_eval(pi, p, q):
 
     p and q may be any ints or Fractions, not only positive integers; the
     value is the character polynomial evaluated there, an int when p and q
-    are ints and a Fraction otherwise.  Any other type, a float included,
-    raises TypeError: its value is not exact.
+    are ints and a Fraction otherwise.  Any other type, a float or a bool
+    included, raises TypeError (rectchar.exact.rational).
 
     >>> stanley_eval(Partition((2,)), 2, 3)
     6
@@ -202,7 +202,7 @@ def stanley_eval(pi, p, q):
     # outside and in c2, two at a time, with (a^2, b^2) inside, then one
     # division.  Row c1 holds a^first b^(k - last) times its inner sum.
     # Int sides have b = d = 1, build no powers of them and no Fraction.
-    if isinstance(p, int) and isinstance(q, int):
+    if type(p) is int and type(q) is int:
         a, c = p, -q
         a2 = a * a
         total = 0
@@ -213,12 +213,8 @@ def stanley_eval(pi, p, q):
             total = total * c + inner * a ** first
         total *= c
         return -total if k % 2 else total
-    for side in (p, q):
-        if not isinstance(side, (int, Fraction)):
-            raise TypeError(f"rectangle sides must be ints or Fractions, "
-                            f"got {type(side).__name__}")
-    a, b = p.numerator, p.denominator
-    c, d = -q.numerator, q.denominator
+    a, b = rational("p", p).numerator, p.denominator
+    c, d = -rational("q", q).numerator, q.denominator
     a2, b2 = a * a, b * b
     total, d_power = 0, 1
     for first, counts in reversed(rows):
@@ -241,11 +237,6 @@ def stanley_poly(pi) -> BiPoly:
     parts = pi.parts if isinstance(pi, Partition) else Partition(pi).parts
     if not parts:
         raise ValueError("cycle type must be non-empty")
-    return _stanley_poly_cached(parts)
-
-
-@lru_cache(maxsize=None)
-def _stanley_poly_cached(parts: tuple[int, ...]) -> BiPoly:
     # the term P^c2 Q^c1 has the sign of (-1)^(k + c1)
     sign = -1 if sum(parts) % 2 else 1
     terms = {}
@@ -288,7 +279,7 @@ def leading_square_coeff(j: int) -> int:
     >>> leading_square_coeff(2)
     -1
     """
-    if j < 1:
+    if integer("j", j) < 1:
         raise ValueError("j must be positive")
     poly = substitute_ed(stanley_poly(Partition((2 * j - 1,))))
     coeff = poly.coefficient(0, 2 * j)
@@ -324,7 +315,7 @@ def decompose_even_basis(poly: DEPoly, j: int) -> list[DEPoly]:
     >>> [str(f) for f in parts]
     ['1*E^2', '-1']
     """
-    if j < 1:
+    if integer("j", j) < 1:
         raise ValueError("j must be positive")
     if not poly.is_even_in_d():
         raise BasisMismatch("polynomial is not even in D")
@@ -360,7 +351,7 @@ def jm_factorization_check(k: int) -> bool:
     >>> jm_factorization_check(3)
     True
     """
-    if k < 1:
+    if integer("k", k) < 1:
         raise ValueError("k must be positive")
     product = {tuple(range(k)): 1}
     for i in range(1, k):

@@ -1,13 +1,15 @@
 """Partitions, rectangles, transposes and dimensions.
 
-Partitions are immutable, hashable, and validated on construction: a part
-of any type is kept, as an int, only when it equals one.  All functions
-accept either a Partition or any iterable of parts.  rectangle and
-partitions, which build shapes themselves, validate their own inputs once
-and wrap the tuples they build, partitions by construction, without
-checking them again.  f, the number of standard tableaux, comes from the
-hook lengths of the first column or row (beta-numbers), in
-O(min(rows, columns)^2) products rather than one per box.
+Partitions are immutable, hashable, and validated on construction: every
+part must be an int by the rule of rectchar.exact (a float, bool or
+Fraction equal to one raises TypeError), positive, and no larger than the
+part before it.  All functions accept either a Partition or any iterable
+of parts.  rectangle and partitions, which build shapes themselves,
+validate their own inputs once and wrap the tuples they build, partitions
+by construction, without checking them again.  f, the number of standard
+tableaux, comes from the hook lengths of the first column or row
+(beta-numbers), in O(min(rows, columns)^2) products rather than one per
+box.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from functools import lru_cache
 from math import factorial
+
+from .exact import integer
 
 __all__ = [
     "Partition",
@@ -26,7 +30,10 @@ __all__ = [
 
 
 class Partition:
-    """A weakly decreasing tuple of positive integers; () partitions 0.
+    """A weakly decreasing tuple of positive ints; () partitions 0.
+
+    A part that is not an int raises TypeError, one that is not positive or
+    larger than the part before it ValueError.
 
     >>> Partition((3, 2)).size
     5
@@ -40,13 +47,10 @@ class Partition:
         if isinstance(parts, Partition):
             self.parts = parts.parts
             return
-        given = tuple(parts)
-        pt = tuple(map(int, given))
-        if pt != given:
-            raise ValueError(f"parts must be integers, got {given}")
+        pt = tuple(parts)
         previous = None
         for x in pt:
-            if x <= 0:
+            if integer("a part", x) <= 0:
                 raise ValueError(f"parts must be positive, got {pt}")
             if previous is not None and x > previous:
                 raise ValueError(f"parts must be weakly decreasing, got {pt}")
@@ -96,15 +100,15 @@ def _built(parts: tuple[int, ...]) -> Partition:
 
 
 def rectangle(p: int, q: int) -> Partition:
-    """The p x q rectangle: p rows of length q; empty when either side is 0."""
-    rows, row = int(p), int(q)
-    if rows != p or row != q:
-        raise ValueError(f"sides must be integers, got {p!r} x {q!r}")
-    if rows < 0 or row < 0:
+    """The p x q rectangle: p rows of length q; empty when either side is 0.
+
+    Both sides must be ints (TypeError otherwise) and non-negative.
+    """
+    if integer("p", p) < 0 or integer("q", q) < 0:
         raise ValueError("sides must be non-negative")
-    if rows == 0 or row == 0:
+    if p == 0 or q == 0:
         return Partition()
-    return _built((row,) * rows)
+    return _built((q,) * p)
 
 
 def transpose(shape) -> Partition:
@@ -166,9 +170,9 @@ def partitions(n: int, max_part: "int | None" = None) -> Iterator[Partition]:
     >>> [p.parts for p in partitions(4, max_part=2)]
     [(2, 2), (2, 1, 1), (1, 1, 1, 1)]
     """
-    if n < 0:
+    if integer("n", n) < 0:
         raise ValueError("n must be non-negative")
-    cap = n if max_part is None else min(max_part, n)
+    cap = n if max_part is None else min(integer("max_part", max_part), n)
     for parts in _tuples(n, cap):
         yield _built(parts)
 

@@ -191,8 +191,9 @@ def test_stanley_eval_refuses_inexact_sides():
     # a float side would leak its binary expansion into an exact value
     assert stanley_eval(Partition((1,)), Fraction(1, 10), 1) == Fraction(1, 10)
     assert stanley_eval(Partition((2,)), 2, Fraction(3)) == 6
-    for p, q in ((0.1, 1), (1, 0.5), (2.0, 3.0), ("2", 3), (2, None)):
-        with pytest.raises(TypeError, match="ints or Fractions"):
+    for p, q in ((0.1, 1), (1, 0.5), (2.0, 3.0), ("2", 3), (2, None),
+                 (True, 3), (2, False)):
+        with pytest.raises(TypeError, match="an int or a Fraction"):
             stanley_eval(Partition((1,)), p, q)
 
 
@@ -209,7 +210,7 @@ def test_raw_cycle_types_are_still_validated():
             fn((2, 0))
         with pytest.raises(ValueError, match="non-empty"):
             fn(())
-        with pytest.raises(ValueError, match="integers"):
+        with pytest.raises(TypeError, match="must be an int"):
             fn((2.7, 1))
 
 
