@@ -4,14 +4,42 @@ One representation serves three rings: rectangle characters live in Z[P,Q],
 their recentered form in Q[D,E] with D half the side difference and E half
 the side sum, and the product-form coefficient families in (J,N) with J the
 half-cycle index and N the box count (graded with deg J = 1, deg N = 2).
+
+_collect is the one place where terms are summed.  The constructor checks
+what it is given against the package's input rule (rectchar.exact): each
+exponent an int, each coefficient an int or a Fraction.  Polynomials the
+package builds from its own exact terms skip that check through _of.
+
+>>> p, q = BiPoly({(1, 0): 1}), BiPoly({(0, 1): 1})
+>>> print((p + q) * (q - p))
+-1*P^2 + 1*Q^2
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
+from itertools import chain
+
+from .exact import integer, rational
 
 __all__ = ["BiPoly", "DEPoly", "JNPoly"]
+
+
+def _collect(items) -> dict:
+    """The (key, coefficient) pairs summed per key, zero sums left out."""
+    acc: dict = {}
+    for key, c in items:
+        acc[key] = acc.get(key, 0) + c
+    return {key: c for key, c in acc.items() if c}
+
+
+def _checked(key, c):
+    # one term given from outside the package, under the input rule
+    i, j = key
+    if integer("exponent", i) < 0 or integer("exponent", j) < 0:
+        raise ValueError("exponents must be non-negative")
+    return (i, j), rational("coefficient", c)
 
 
 class _Poly2:
@@ -22,28 +50,25 @@ class _Poly2:
 
     def __init__(self, terms: "Mapping | Iterable" = ()) -> None:
         items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict = {}
-        for (i, j), c in items:
-            i = int(i)
-            j = int(j)
-            if i < 0 or j < 0:
-                raise ValueError("exponents must be non-negative")
-            value = acc.get((i, j), 0) + c
-            if value == 0:
-                acc.pop((i, j), None)
-            else:
-                acc[(i, j)] = value
-        self._terms = acc
+        self._terms = _collect(_checked(key, c) for key, c in items)
+
+    @classmethod
+    def _of(cls, terms: dict):
+        # terms that are exact, collected and free of zeros by construction,
+        # not checked again
+        out = cls.__new__(cls)
+        out._terms = terms
+        return out
 
     # construction ---------------------------------------------------------
 
     @classmethod
     def zero(cls):
-        return cls()
+        return cls._of({})
 
     @classmethod
     def constant(cls, c: "int | Fraction"):
-        return cls({(0, 0): c})
+        return cls._of({(0, 0): c} if rational("constant", c) else {})
 
     # queries ----------------------------------------------------------------
 
@@ -64,6 +89,9 @@ class _Poly2:
         return max((i + j for (i, j) in self._terms), default=-1)
 
     def evaluate(self, x, y):
+        """The value at X = x, Y = y, each an int or a Fraction."""
+        rational("x", x)
+        rational("y", y)
         total = 0
         for (i, j), c in self._terms.items():
             total += c * x ** i * y ** j
@@ -85,23 +113,13 @@ class _Poly2:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        merged = dict(self._terms)
-        for key, c in rhs._terms.items():
-            value = merged.get(key, 0) + c
-            if value == 0:
-                merged.pop(key, None)
-            else:
-                merged[key] = value
-        out = type(self).zero()
-        out._terms = merged
-        return out
+        return type(self)._of(
+            _collect(chain(self._terms.items(), rhs._terms.items())))
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = type(self).zero()
-        out._terms = {key: -c for key, c in self._terms.items()}
-        return out
+        return type(self)._of({key: -c for key, c in self._terms.items()})
 
     def __sub__(self, other):
         rhs = self._coerce(other)
@@ -110,27 +128,13 @@ class _Poly2:
         return self + (-rhs)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return type(self).zero()
-            out = type(self).zero()
-            out._terms = {key: c * other for key, c in self._terms.items()}
-            return out
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        acc: dict = {}
-        for (i1, j1), c1 in self._terms.items():
-            for (i2, j2), c2 in rhs._terms.items():
-                key = (i1 + i2, j1 + j2)
-                value = acc.get(key, 0) + c1 * c2
-                if value == 0:
-                    acc.pop(key, None)
-                else:
-                    acc[key] = value
-        out = type(self).zero()
-        out._terms = acc
-        return out
+        return type(self)._of(_collect([
+            ((i1 + i2, j1 + j2), c1 * c2)
+            for (i1, j1), c1 in self._terms.items()
+            for (i2, j2), c2 in rhs._terms.items()]))
 
     __rmul__ = __mul__
 
@@ -192,29 +196,19 @@ class BiPoly(_Poly2):
 
     def swap(self) -> "BiPoly":
         """Exchange the two variables."""
-        return BiPoly({(j, i): c for (i, j), c in self._terms.items()})
+        return BiPoly._of({(j, i): c for (i, j), c in self._terms.items()})
 
     def substitute_p(self, value) -> dict:
-        """Coefficients in Q after setting P to a number; zeros dropped."""
-        out: dict = {}
-        for (i, j), c in self._terms.items():
-            v = out.get(j, 0) + c * value ** i
-            if v == 0:
-                out.pop(j, None)
-            else:
-                out[j] = v
-        return out
+        """Coefficients in Q after setting P to an int or a Fraction; zeros
+        dropped."""
+        rational("value", value)
+        return _collect((j, c * value ** i)
+                        for (i, j), c in self._terms.items())
 
     def substitute_q(self, value) -> dict:
-        """Coefficients in P after setting Q to a number; zeros dropped."""
-        out: dict = {}
-        for (i, j), c in self._terms.items():
-            v = out.get(i, 0) + c * value ** j
-            if v == 0:
-                out.pop(i, None)
-            else:
-                out[i] = v
-        return out
+        """Coefficients in P after setting Q to an int or a Fraction; zeros
+        dropped."""
+        return self.swap().substitute_p(value)
 
 
 class DEPoly(_Poly2):
@@ -258,3 +252,8 @@ class JNPoly(_Poly2):
         if coeff == -1:
             return f"-{mono}"
         return f"{coeff}*{mono}"
+
+
+if __name__ == "__main__":
+    import doctest
+    doctest.testmod()

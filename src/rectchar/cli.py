@@ -40,6 +40,7 @@ from .closed import (
     minus_one_col_char,
     minus_one_row_char,
 )
+from .exact import catalan
 from .mn import normalized_character
 from .stanley import (
     decompose_even_basis,
@@ -300,10 +301,14 @@ def _suite_jm(args) -> list:
 
 
 def _suite_leading_catalan(args) -> list:
-    top = min(args.j_max, (STANLEY_CAP + 1) // 2)
-    return [(f"leading-catalan j={j}",
-             lambda j=j: isinstance(leading_square_coeff(j), int))
-            for j in range(1, top + 1)]
+    cases = []
+    for j in range(1, min(args.j_max, (STANLEY_CAP + 1) // 2) + 1):
+        def check(j=j):
+            got = leading_square_coeff(j)
+            want = (-1 if j % 2 == 0 else 1) * catalan(j - 1)
+            return got == want or f"coefficient={got} signed catalan={want}"
+        cases.append((f"leading-catalan j={j}", check))
+    return cases
 
 
 def _suite_basis(args) -> list:

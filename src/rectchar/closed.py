@@ -46,7 +46,6 @@ check one another.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from itertools import zip_longest
 from math import comb, factorial, perm, prod
 
@@ -132,7 +131,6 @@ def closed_char_ed(k_cycle: int, e, d, diff_parity: str = "even"):
     return sign * pref * total
 
 
-@lru_cache(maxsize=None, typed=True)
 def corollary_poly(two_d: int, cycle_parity: str) -> JNPoly:
     """The family polynomial for the stated half-difference d = two_d / 2.
 
@@ -184,8 +182,9 @@ def corollary_poly(two_d: int, cycle_parity: str) -> JNPoly:
                 raise ArithmeticError(
                     f"non-integer coefficient {scale * x}/{den} at "
                     f"{(j_exp, n_exp)} in family polynomial")
-            terms[j_exp, n_exp] = value
-    return JNPoly(terms)
+            if value:
+                terms[j_exp, n_exp] = value
+    return JNPoly._of(terms)
 
 
 def ch_rect_fast(k_cycle: int, p: int, q: int) -> int:

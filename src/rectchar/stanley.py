@@ -50,8 +50,8 @@ from functools import lru_cache
 from itertools import permutations
 from math import comb, factorial
 
-from ._poly import BiPoly, DEPoly
-from .exact import catalan, integer, rational
+from ._poly import BiPoly, DEPoly, _collect
+from .exact import integer, rational
 from .young import Partition
 
 __all__ = [
@@ -195,6 +195,10 @@ def stanley_eval(pi, p, q):
     parts = pi.parts if isinstance(pi, Partition) else Partition(pi).parts
     if not parts:
         raise ValueError("cycle type must be non-empty")
+    int_sides = type(p) is int and type(q) is int
+    if not int_sides:
+        rational("p", p)
+        rational("q", q)
     rows = _joint_cycle_table(parts)
     k = sum(parts)
     # With p = a/b and -q = c/d, (b d)^k times the value is an integer: one
@@ -202,7 +206,7 @@ def stanley_eval(pi, p, q):
     # outside and in c2, two at a time, with (a^2, b^2) inside, then one
     # division.  Row c1 holds a^first b^(k - last) times its inner sum.
     # Int sides have b = d = 1, build no powers of them and no Fraction.
-    if type(p) is int and type(q) is int:
+    if int_sides:
         a, c = p, -q
         a2 = a * a
         total = 0
@@ -213,8 +217,8 @@ def stanley_eval(pi, p, q):
             total = total * c + inner * a ** first
         total *= c
         return -total if k % 2 else total
-    a, b = rational("p", p).numerator, p.denominator
-    c, d = -rational("q", q).numerator, q.denominator
+    a, b = p.numerator, p.denominator
+    c, d = -q.numerator, q.denominator
     a2, b2 = a * a, b * b
     total, d_power = 0, 1
     for first, counts in reversed(rows):
@@ -245,7 +249,7 @@ def stanley_poly(pi) -> BiPoly:
         for j, count in enumerate(counts):
             if count:
                 terms[(first + 2 * j, c1)] = row_sign * count
-    return BiPoly(terms)
+    return BiPoly._of(terms)
 
 
 def substitute_ed(poly: BiPoly) -> DEPoly:
@@ -254,27 +258,25 @@ def substitute_ed(poly: BiPoly) -> DEPoly:
     >>> print(substitute_ed(BiPoly({(1, 1): 1})))
     -1*D^2 + 1*E^2
     """
-    acc: dict[tuple[int, int], int] = {}
-    for (i, j), c in poly.terms().items():
+    return DEPoly._of(_collect(_ed_terms(poly.terms())))
+
+
+def _ed_terms(terms: dict):
+    # c P^i Q^j = c (E - D)^i (E + D)^j, one binomial term at a time
+    for (i, j), c in terms.items():
         for a in range(i + 1):
-            ca = comb(i, a) * (-1 if a % 2 else 1)
+            ca = -c * comb(i, a) if a % 2 else c * comb(i, a)
             for b in range(j + 1):
-                coeff = c * ca * comb(j, b)
-                key = (a + b, i + j - a - b)
-                value = acc.get(key, 0) + coeff
-                if value == 0:
-                    acc.pop(key, None)
-                else:
-                    acc[key] = value
-    return DEPoly(acc)
+                yield (a + b, i + j - a - b), ca * comb(j, b)
 
 
 def leading_square_coeff(j: int) -> int:
     """Coefficient of E^(2 j) in the (2 j - 1)-cycle character polynomial.
 
     Substitutes P = E - D, Q = E + D into Stanley's polynomial for a
-    single odd cycle and reads off the top coefficient in E, checking it
-    against the signed catalan number before returning it.
+    single odd cycle and reads off the top coefficient in E, which is
+    (-1)^(j - 1) times the (j - 1)-th Catalan number; verify's
+    leading-catalan suite checks that.
 
     >>> leading_square_coeff(2)
     -1
@@ -282,26 +284,7 @@ def leading_square_coeff(j: int) -> int:
     if integer("j", j) < 1:
         raise ValueError("j must be positive")
     poly = substitute_ed(stanley_poly(Partition((2 * j - 1,))))
-    coeff = poly.coefficient(0, 2 * j)
-    expected = (-1 if j % 2 == 0 else 1) * catalan(j - 1)
-    if coeff != expected:
-        raise ArithmeticError(
-            f"leading coefficient {coeff} does not match the catalan value "
-            f"{expected} at j = {j}")
-    return coeff
-
-
-@lru_cache(maxsize=None)
-def _even_basis_x_coeffs(k: int) -> tuple[int, ...]:
-    """Coefficients of prod_{r=0}^{k-1} (x - r^2) as a polynomial in x."""
-    coeffs = [1]
-    for r in range(k):
-        longer = [0] * (len(coeffs) + 1)
-        for m, c in enumerate(coeffs):
-            longer[m + 1] += c
-            longer[m] -= c * r * r
-        coeffs = longer
-    return tuple(coeffs)
+    return poly.coefficient(0, 2 * j)
 
 
 def decompose_even_basis(poly: DEPoly, j: int) -> list[DEPoly]:
@@ -322,22 +305,19 @@ def decompose_even_basis(poly: DEPoly, j: int) -> list[DEPoly]:
     if poly.d_degree() > 2 * j:
         raise BasisMismatch(
             f"D-degree {poly.d_degree()} exceeds the basis bound {2 * j}")
-    # rows[m] holds the E-coefficients of (D^2)^m
-    rows: list[dict[int, object]] = [{} for _ in range(j + 1)]
-    for (dexp, eexp), c in poly.terms().items():
-        rows[dexp // 2][eexp] = c
-    out: list[DEPoly] = [DEPoly()] * (j + 1)
+    # basis[k] = prod_{r<k} (D^2 - r^2); entry k is the D^(2k) row of what
+    # is left once the entries above it are taken out
+    d2 = DEPoly._of({(2, 0): 1})
+    basis = [DEPoly.constant(1)]
+    for r in range(j):
+        basis.append(basis[-1] * (d2 - r * r))
+    out, rest = [], poly
     for k in range(j, -1, -1):
-        pk = {e: c for e, c in rows[k].items() if c != 0}
-        out[k] = DEPoly({(0, e): c for e, c in pk.items()})
-        if pk:
-            basis = _even_basis_x_coeffs(k)
-            for m in range(k):
-                if basis[m]:
-                    row = rows[m]
-                    for e, c in pk.items():
-                        row[e] = row.get(e, 0) - c * basis[m]
-    return out
+        entry = DEPoly._of({(0, e): c for (dexp, e), c in rest.terms().items()
+                            if dexp == 2 * k})
+        out.append(entry)
+        rest = rest - entry * basis[k]
+    return out[::-1]
 
 
 def jm_factorization_check(k: int) -> bool:

@@ -482,6 +482,19 @@ def test_verify_shows_the_values_that_disagreed(capsys, monkeypatch):
     assert out.splitlines()[-1] == "verify: 72 passed, 9 failed"
 
 
+def test_verify_checks_the_leading_coefficient(capsys, monkeypatch):
+    # the suite compares with the signed Catalan number; any int is not enough
+    monkeypatch.setattr("rectchar.cli.leading_square_coeff", lambda j: 7)
+    code, out, _ = run(capsys, "verify", "--suite", "leading-catalan",
+                       "--j-max", "2")
+    assert code == 1
+    assert out.splitlines() == [
+        "FAIL leading-catalan j=1: coefficient=7 signed catalan=1",
+        "FAIL leading-catalan j=2: coefficient=7 signed catalan=-1",
+        "verify: 0 passed, 2 failed",
+    ]
+
+
 def test_verify_shows_both_sides_of_a_broken_transpose(capsys, monkeypatch):
     def off_by_one_when_tall(pi, shape):
         value = normalized_character(pi, shape)

@@ -5,10 +5,11 @@ from pathlib import Path
 
 import pytest
 
-from rectchar import closed, exact, mn, stanley, young
+from rectchar import _poly, closed, exact, mn, stanley, young
 
 
-@pytest.mark.parametrize("module", (closed, exact, mn, stanley, young),
+@pytest.mark.parametrize("module",
+                         (_poly, closed, exact, mn, stanley, young),
                          ids=lambda m: m.__name__.rsplit(".", 1)[-1])
 def test_module_doctests(module):
     result = doctest.testmod(module)

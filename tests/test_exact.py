@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 
 import rectchar
 from rectchar import (
+    BiPoly,
     DEPoly,
     Partition,
     ch_rect_fast,
@@ -61,12 +62,14 @@ def test_rule_returns_what_it_accepts():
 
 
 def _corollary_after_a_cached_one(x):
-    # the cached entry for 1 must not answer a call at True
+    # a call at 1 first: were corollary_poly memoized, its entry for 1 must
+    # not answer a call at True
     corollary_poly(1, "odd")
     return corollary_poly(x, "odd")
 
 
 _EVEN = DEPoly({(0, 2): 1, (2, 0): -1})
+_SQUARE = stanley_poly((2,))  # P Q^2 - P^2 Q
 
 # (entry point and argument, call with the argument x, a valid int for x,
 # whether a Fraction is valid there too); every other argument is valid
@@ -115,6 +118,19 @@ RULE = [
     ("integrality_witness d", lambda x: integrality_witness(x, 3), 5, False),
     ("integrality_witness k", lambda x: integrality_witness(5, x), 3, False),
     ("catalan m", lambda x: catalan(x), 4, False),
+    ("BiPoly P exponent", lambda x: BiPoly({(x, 0): 1}), 2, False),
+    ("BiPoly Q exponent", lambda x: BiPoly([((0, x), 1)]), 2, False),
+    ("BiPoly coefficient", lambda x: BiPoly({(1, 0): x}), 2, True),
+    ("DEPoly coefficient", lambda x: DEPoly({(1, 0): x}), 2, True),
+    ("constant", lambda x: DEPoly.constant(x), 2, True),
+    ("evaluate x", lambda x: _SQUARE.evaluate(x, 3), 2, True),
+    ("evaluate y", lambda x: _SQUARE.evaluate(2, x), 3, True),
+    ("substitute_p", lambda x: _SQUARE.substitute_p(x), 2, True),
+    ("substitute_q", lambda x: _SQUARE.substitute_q(x), 2, True),
+    ("poly times scalar", lambda x: _SQUARE * x, 2, True),
+    ("scalar times poly", lambda x: x * _SQUARE, 2, True),
+    ("poly plus scalar", lambda x: _SQUARE + x, 2, True),
+    ("poly minus scalar", lambda x: _SQUARE - x, 2, True),
 ]
 
 
@@ -145,6 +161,19 @@ def test_the_cases_that_leaked_inexact_values():
         one_cycle_character((2, 2), Fraction(2))
     with pytest.raises(TypeError):
         _corollary_after_a_cached_one(True)
+    # the polynomial types took these as they were
+    with pytest.raises(TypeError):
+        BiPoly({(1, 0): 0.5})
+    with pytest.raises(TypeError):
+        BiPoly({("2", 0): 1})
+    with pytest.raises(TypeError):
+        BiPoly({(1.0, 0): 1})
+    with pytest.raises(TypeError):
+        stanley_poly((2,)).evaluate(0.5, 3)
+    with pytest.raises(TypeError):
+        stanley_poly((2,)).substitute_p(0.5)
+    with pytest.raises(TypeError):
+        stanley_poly((2,)) * True
 
 
 def _inexact(node):

@@ -1,0 +1,105 @@
+"""Tests for the sparse exact polynomials of rectchar._poly."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, strategies as st
+
+from rectchar._poly import BiPoly, DEPoly, JNPoly
+
+coefficients = st.one_of(
+    st.integers(-6, 6),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4))
+exponents = st.tuples(st.integers(0, 3), st.integers(0, 3))
+points = st.one_of(
+    st.integers(-4, 4),
+    st.fractions(min_value=-2, max_value=2, max_denominator=3))
+
+
+def polys(ring):
+    return st.dictionaries(exponents, coefficients, max_size=5).map(ring)
+
+
+rings = st.sampled_from((BiPoly, DEPoly, JNPoly))
+
+
+def _no_stored_zero(poly):
+    return all(c != 0 for c in poly.terms().values())
+
+
+@given(st.data())
+def test_ring_laws(data):
+    ring = data.draw(rings)
+    a, b, c = (data.draw(polys(ring)) for _ in range(3))
+    assert a + b == b + a
+    assert a * b == b * a
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a + ring.zero() == a
+    assert a * ring.constant(1) == a
+    assert a - a == ring.zero()
+    assert (a * 0).is_zero()
+
+
+@given(st.data())
+def test_no_stored_zero(data):
+    ring = data.draw(rings)
+    a, b = data.draw(polys(ring)), data.draw(polys(ring))
+    scalar = data.draw(coefficients)
+    for poly in (a, a + b, a - b, a * b, -a, a * scalar, scalar + a,
+                 a + (-a)):
+        assert _no_stored_zero(poly)
+    p = data.draw(polys(BiPoly))
+    assert _no_stored_zero(p.swap())
+    value = data.draw(points)
+    assert all(c != 0 for c in p.substitute_p(value).values())
+    assert all(c != 0 for c in p.substitute_q(value).values())
+
+
+@given(st.data())
+def test_evaluate_is_a_ring_map(data):
+    ring = data.draw(rings)
+    a, b = data.draw(polys(ring)), data.draw(polys(ring))
+    x, y = data.draw(points), data.draw(points)
+    assert (a + b).evaluate(x, y) == a.evaluate(x, y) + b.evaluate(x, y)
+    assert (a - b).evaluate(x, y) == a.evaluate(x, y) - b.evaluate(x, y)
+    assert (a * b).evaluate(x, y) == a.evaluate(x, y) * b.evaluate(x, y)
+
+
+@given(polys(BiPoly), points, points)
+def test_substitutions(p, value, other):
+    assert p.substitute_q(value) == p.swap().substitute_p(value)
+    assert p.swap().evaluate(value, other) == p.evaluate(other, value)
+    in_q = p.substitute_p(value)
+    assert sum(c * other ** j for j, c in in_q.items()) == p.evaluate(value,
+                                                                      other)
+    in_p = p.substitute_q(value)
+    assert sum(c * other ** i for i, c in in_p.items()) == p.evaluate(other,
+                                                                      value)
+
+
+def test_terms_are_collected_on_construction():
+    p = BiPoly([((1, 0), 2), ((1, 0), -2), ((0, 1), Fraction(1, 2))])
+    assert p.terms() == {(0, 1): Fraction(1, 2)}
+    with pytest.raises(ValueError, match="non-negative"):
+        BiPoly({(-1, 0): 1})
+
+
+def test_mixing_two_rings_is_refused():
+    b, d, j = BiPoly({(1, 0): 1}), DEPoly({(1, 0): 1}), JNPoly({(1, 0): 1})
+    for left, right in ((b, d), (d, j), (j, b)):
+        for op in (lambda x, y: x + y, lambda x, y: x - y,
+                   lambda x, y: x * y):
+            with pytest.raises(TypeError, match="cannot mix"):
+                op(left, right)
+    assert b != d
+
+
+def test_printing():
+    assert str(BiPoly({(2, 1): -1, (1, 2): 1})) == "-1*P^2*Q + 1*P*Q^2"
+    assert str(DEPoly({(0, 2): 1, (2, 0): -1, (0, 0): Fraction(1, 4)})) == (
+        "-1*D^2 + 1*E^2 + 1/4")
+    assert str(JNPoly({(0, 1): 1, (2, 0): -2, (1, 0): 1, (0, 0): 1})) == (
+        "N - 2*J^2 + J + 1")
+    assert str(BiPoly()) == "0"

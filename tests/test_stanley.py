@@ -197,6 +197,15 @@ def test_stanley_eval_refuses_inexact_sides():
             stanley_eval(Partition((1,)), p, q)
 
 
+def test_a_refused_side_builds_no_table():
+    # the sides are checked before the joint cycle table is built and cached
+    _joint_cycle_table.cache_clear()
+    for p, q in ((0.5, 1), (1, 0.5), (True, 1)):
+        with pytest.raises(TypeError):
+            stanley_eval((1,) * 16, p, q)
+    assert _joint_cycle_table.cache_info().currsize == 0
+
+
 def test_raw_cycle_types_are_still_validated():
     # a Partition is read as it is; anything else goes through the checked
     # constructor, with its errors
