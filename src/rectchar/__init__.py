@@ -42,7 +42,6 @@ from .young import (
     dim_f,
     partitions,
     rectangle,
-    transpose,
 )
 
 __version__ = "0.1.0"
@@ -76,6 +75,5 @@ __all__ = [
     "stanley_eval",
     "stanley_poly",
     "substitute_ed",
-    "transpose",
     "__version__",
 ]

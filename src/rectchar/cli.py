@@ -3,18 +3,19 @@
 Evaluation methods
   oracle    Murnaghan-Nakayama recursion on beta-set bead moves with
             hook-ratio steps, one per non-unit part of the cycle type,
-            memoized across calls on (beta-set, remaining parts); capped
-            at cycle types of size <= 24 and at p + q <= 10000, the width
-            of the bead mask.
+            memoized across calls on (beta-set, remaining parts); also
+            capped at p + q <= 10000, the width of the bead mask.
   stanley   signed factorization sum over the Jucys-Murphy content table,
             its characters from one abacus sweep, no MN recursion, only
-            the entries that can be nonzero; capped at cycle types of
-            size <= 16.
+            the entries that can be nonzero.
   closed    product formulas; single cycles of length <= 3000 only.
 
+The oracle and stanley share one cap, TYPE_CAP: cycle types of size <= 24,
+so the two general-type routes cross-check wherever either one runs.
 _refusal states each method's caps once: eval refuses an input past them,
 bench refuses a cycle past the closed cap and leaves the oracle and
-stanley out past theirs, and poly --kind stanley takes the stanley cap.
+stanley out past theirs, poly --kind stanley takes the type cap, and
+verify's vanishing suite runs each method that accepts its input.
 poly --kind G|H|I|J is capped at |two_d| <= 120.  verify walks one grid,
 the p x q with both sides <= --pq-max and at most 60 boxes, and runs each
 suite within caps of its own.  README's "Caps and exit codes" gives every
@@ -52,11 +53,10 @@ from .stanley import (
 )
 from .young import Partition, partitions, rectangle
 
-__all__ = ["main", "STANLEY_CAP", "ORACLE_CAP", "ORACLE_WIDTH_CAP",
-           "CLOSED_CAP", "FAMILY_CAP", "JM_CAP", "GRID_CAP"]
+__all__ = ["main", "TYPE_CAP", "ORACLE_WIDTH_CAP", "CLOSED_CAP",
+           "FAMILY_CAP", "JM_CAP", "GRID_CAP"]
 
-STANLEY_CAP = 16
-ORACLE_CAP = 24
+TYPE_CAP = 24
 ORACLE_WIDTH_CAP = 10000
 CLOSED_CAP = 3000
 FAMILY_CAP = 120
@@ -98,22 +98,18 @@ def _cycle_list(text: str) -> tuple[int, ...]:
 def _refusal(method: str, pi: Partition, p: int, q: int) -> str | None:
     """Why method refuses the cycle type pi on the p x q rectangle, or None
     when it accepts them."""
-    if method == "oracle":
-        if pi.size > ORACLE_CAP:
-            return (f"the oracle method is capped at cycle types of size "
-                    f"<= {ORACLE_CAP}, got {pi.size}")
-        if p + q > ORACLE_WIDTH_CAP:
-            return (f"the oracle method is capped at p + q <= "
-                    f"{ORACLE_WIDTH_CAP}, got {p + q}")
-    elif method == "stanley":
-        if pi.size > STANLEY_CAP:
-            return (f"the stanley method is capped at cycle types of size "
-                    f"<= {STANLEY_CAP}, got {pi.size}")
-    elif pi.length != 1:
-        return "the closed method handles a single cycle only"
-    elif pi.size > CLOSED_CAP:
-        return (f"the closed method is capped at cycles of length "
-                f"<= {CLOSED_CAP}, got {pi.size}")
+    if method == "closed":
+        if pi.length != 1:
+            return "the closed method handles a single cycle only"
+        if pi.size > CLOSED_CAP:
+            return (f"the closed method is capped at cycles of length "
+                    f"<= {CLOSED_CAP}, got {pi.size}")
+    elif pi.size > TYPE_CAP:
+        return (f"the {method} method is capped at cycle types of size "
+                f"<= {TYPE_CAP}, got {pi.size}")
+    elif method == "oracle" and p + q > ORACLE_WIDTH_CAP:
+        return (f"the oracle method is capped at p + q <= "
+                f"{ORACLE_WIDTH_CAP}, got {p + q}")
     return None
 
 
@@ -168,7 +164,7 @@ def _cmd_poly(args) -> int:
         if args.cycle is None:
             print("poly: --cycle is required for kind stanley", file=sys.stderr)
             return 2
-        # the stanley cap does not depend on the sides
+        # the type cap does not depend on the sides
         why = _refusal("stanley", args.cycle, 1, 1)
         if why is not None:
             print(f"poly: {why}", file=sys.stderr)
@@ -211,7 +207,7 @@ def _grid(args) -> tuple[tuple[int, int], ...]:
 def _suite_oracle_match(args) -> list:
     cases = []
     grid = _grid(args)
-    for pi in _iter_cycle_types(min(args.k_max, STANLEY_CAP)):
+    for pi in _iter_cycle_types(min(args.k_max, TYPE_CAP)):
         shown = str(pi)
         for p, q in grid:
             def check(pi=pi, p=p, q=q):
@@ -233,7 +229,7 @@ def _suite_oracle_match(args) -> list:
 
 def _suite_transpose(args) -> list:
     cases = []
-    types = tuple(_iter_cycle_types(min(args.k_max, STANLEY_CAP)))
+    types = tuple(_iter_cycle_types(min(args.k_max, TYPE_CAP)))
     for pi in types:
         sign = -1 if (pi.size - pi.length) % 2 else 1
         def check(pi=pi, sign=sign):
@@ -280,16 +276,10 @@ def _suite_vanishing(args) -> list:
     cases = []
     for j in range(2, min(args.j_max, (CLOSED_CAP + 1) // 2) + 1):
         k, p, q = 2 * j - 1, 2 * j - 2, 2 * j + 1
-        def check(k=k, p=p, q=q):
-            if ch_rect_fast(k, p, q) != 0:
-                return False
-            if k <= STANLEY_CAP and stanley_eval(Partition((k,)), p, q) != 0:
-                return False
-            if p * q <= GRID_CAP:
-                oracle = normalized_character(Partition((k,)), rectangle(p, q))
-                if oracle != 0:
-                    return False
-            return True
+        def check(pi=Partition((k,)), p=p, q=q):
+            return all(_evaluate(method, pi, p, q) == 0
+                       for method in ("closed", "stanley", "oracle")
+                       if _refusal(method, pi, p, q) is None)
         cases.append((f"vanishing j={j} cycle {k} rect {p}x{q}", check))
     return cases
 
@@ -302,7 +292,7 @@ def _suite_jm(args) -> list:
 
 def _suite_leading_catalan(args) -> list:
     cases = []
-    for j in range(1, min(args.j_max, (STANLEY_CAP + 1) // 2) + 1):
+    for j in range(1, min(args.j_max, (TYPE_CAP + 1) // 2) + 1):
         def check(j=j):
             got = leading_square_coeff(j)
             want = (-1 if j % 2 == 0 else 1) * catalan(j - 1)
@@ -313,7 +303,7 @@ def _suite_leading_catalan(args) -> list:
 
 def _suite_basis(args) -> list:
     cases = []
-    top = min(args.j_max, (STANLEY_CAP + 1) // 2)
+    top = min(args.j_max, (TYPE_CAP + 1) // 2)
     for j in range(1, top + 1):
         def check(j=j):
             poly = substitute_ed(stanley_poly(Partition((2 * j - 1,))))
@@ -341,7 +331,7 @@ def _suite_basis(args) -> list:
 def _suite_minus_one(args) -> list:
     cases = []
     p, q = BiPoly({(1, 0): 1}), BiPoly({(0, 1): 1})
-    for k in range(1, min(args.k_max, STANLEY_CAP) + 1):
+    for k in range(1, min(args.k_max, TYPE_CAP) + 1):
         def check(k=k):
             # the products at the formal sides, as coefficients in Q or P
             poly = stanley_poly(Partition((k,)))

@@ -29,10 +29,11 @@ c1 + c2 <= k + l(pi) and |c1 - c2| <= k - l(pi), and
 sgn(s1) sgn(s2) = sgn(w) to c1 + c2 = k + l(pi) (mod 2).  The content sum
 accumulates those entries only (for 1^k just the diagonal), and the
 entries it finds must add up to the k! factorizations, so none can lie
-outside.  The dearest cold tables under the cap, 1^16 and 2^8, take about
-0.01 s.  The table is cached, once per cycle type, in a packed form that
-keeps just those entries, each row c1 as every second c2 between its
-bounds, and values and polynomials read that form:
+outside.  The dearest cold tables under the CLI's cap of size 24, 1^24,
+2^12, 3^6 2^3 and 5 4 4 3 2^4, take about 0.1 s.  The table is cached,
+once per cycle type, in a packed form that keeps just those entries, each
+row c1 as every second c2 between its bounds, and values and polynomials
+read that form:
 at k = 7-9 that is 17-27 entries where the square table has 64-100, and
 for every type of those sizes the packed entries are exactly the nonzero
 ones.

@@ -1,4 +1,4 @@
-"""Partitions, rectangles, transposes and dimensions.
+"""Partitions, rectangles and dimensions.
 
 Partitions are immutable, hashable, and validated on construction: every
 part must be an int by the rule of rectchar.exact (a float, bool or
@@ -23,7 +23,6 @@ from .exact import integer
 __all__ = [
     "Partition",
     "rectangle",
-    "transpose",
     "dim_f",
     "partitions",
 ]
@@ -109,22 +108,6 @@ def rectangle(p: int, q: int) -> Partition:
     if p == 0 or q == 0:
         return Partition()
     return _built((q,) * p)
-
-
-def transpose(shape) -> Partition:
-    """The conjugate partition: rows become columns.
-
-    >>> transpose(Partition((4, 2, 1)))
-    Partition([3, 2, 1, 1])
-    """
-    lam = Partition(shape)
-    if not lam.parts:
-        return lam
-    cols = [0] * lam.parts[0]
-    for row in lam.parts:
-        for j in range(row):
-            cols[j] += 1
-    return Partition(cols)
 
 
 def dim_f(shape) -> int:

@@ -41,6 +41,13 @@ def hook_length_dim(parts: tuple[int, ...]) -> int:
     return factorial(n) // hooks
 
 
+def conjugate(parts: tuple[int, ...]) -> tuple[int, ...]:
+    """The conjugate partition: column j is as long as the number of rows
+    longer than j."""
+    return tuple(sum(1 for row in parts if row > j)
+                 for j in range(parts[0] if parts else 0))
+
+
 def sub_partitions(parts: tuple[int, ...]):
     """All partitions contained in the given one, row by row."""
     def rec(i: int, cap: int):

@@ -19,9 +19,8 @@ from rectchar.cli import (
     FAMILY_CAP,
     GRID_CAP,
     JM_CAP,
-    ORACLE_CAP,
     ORACLE_WIDTH_CAP,
-    STANLEY_CAP,
+    TYPE_CAP,
     main,
 )
 from rectchar.mn import normalized_character
@@ -139,20 +138,19 @@ def test_eval_prints_values_past_4300_digits(capsys):
 
 
 def test_eval_cap_violations(capsys):
-    code, out, err = run(capsys, "eval", "--method", "oracle",
-                         "--cycle", ",".join(["2"] * 12 + ["1"]),
-                         "--p", "8", "--q", "8")
-    assert code == 2 and out == "" and f"size <= {ORACLE_CAP}, got 25" in err
+    past = ",".join(["2"] * (TYPE_CAP // 2) + ["1"])
+    for method in ("oracle", "stanley"):
+        code, out, err = run(capsys, "eval", "--method", method,
+                             "--cycle", past, "--p", "8", "--q", "8")
+        assert code == 2 and out == ""
+        assert (f"the {method} method is capped at cycle types of size "
+                f"<= {TYPE_CAP}, got {TYPE_CAP + 1}") in err
 
     code, out, err = run(capsys, "eval", "--method", "oracle",
                          "--cycle", "3", "--p", "2",
                          "--q", str(ORACLE_WIDTH_CAP - 1))
     assert code == 2 and out == ""
     assert f"p + q <= {ORACLE_WIDTH_CAP}, got {ORACLE_WIDTH_CAP + 1}" in err
-
-    code, _, err = run(capsys, "eval", "--method", "stanley",
-                       "--cycle", "9,8", "--p", "2", "--q", "2")
-    assert code == 2 and "size" in err
 
     code, _, err = run(capsys, "eval", "--method", "closed",
                        "--cycle", "2,1", "--p", "2", "--q", "2")
@@ -185,12 +183,12 @@ def test_oracle_method_caps(capsys):
     # at each cap the oracle answers; one past either, eval refuses and
     # bench leaves the oracle out.  2^12, a dearest type at the size cap,
     # is even, so the transposed rectangle has the same value.
-    twos = ",".join(["2"] * (ORACLE_CAP // 2))
+    twos = ",".join(["2"] * (TYPE_CAP // 2))
     code, out, _ = run(capsys, "eval", "--method", "oracle", "--cycle", twos,
                        "--p", "30", "--q", "40")
     assert code == 0
     assert int(table_fields(out)["value"]) == normalized_character(
-        [2] * (ORACLE_CAP // 2), rectangle(40, 30))
+        [2] * (TYPE_CAP // 2), rectangle(40, 30))
 
     code, out, _ = run(capsys, "eval", "--method", "oracle", "--cycle", "5",
                        "--p", "1", "--q", str(ORACLE_WIDTH_CAP - 1))
@@ -200,20 +198,40 @@ def test_oracle_method_caps(capsys):
                        "--p", "1", "--q", str(ORACLE_WIDTH_CAP))
     assert code == 2 and "p + q" in err
 
-    code, out, _ = run(capsys, "bench", "--k",
-                       f"{STANLEY_CAP},{ORACLE_CAP},{ORACLE_CAP + 1}")
+    code, out, _ = run(capsys, "bench", "--k", f"{TYPE_CAP},{TYPE_CAP + 1}")
     assert code == 0
     rows = list(csv.reader(io.StringIO(out)))
     assert [(row[0], row[1]) for row in rows[1:]] == [
-        ("closed", str(STANLEY_CAP)), ("oracle", str(STANLEY_CAP)),
-        ("stanley", str(STANLEY_CAP)),
-        ("closed", str(ORACLE_CAP)), ("oracle", str(ORACLE_CAP)),
-        ("closed", str(ORACLE_CAP + 1))]
+        ("closed", str(TYPE_CAP)), ("oracle", str(TYPE_CAP)),
+        ("stanley", str(TYPE_CAP)), ("closed", str(TYPE_CAP + 1))]
     code, out, _ = run(capsys, "bench", "--k", "3",
                        "--p", "1", "--q", str(ORACLE_WIDTH_CAP))
     assert code == 0
     assert [row[0] for row in csv.reader(io.StringIO(out))][1:] == [
         "closed", "stanley"]
+
+
+def test_general_routes_agree_at_the_type_cap(capsys):
+    # the dearest types of size TYPE_CAP, on a rectangle and its transpose;
+    # bench runs both routes up to the cap and neither past it
+    for cycle in (",".join(["2"] * 12), "5,4,4,3,2,2,2,2",
+                  ",".join(["1"] * 24), "24"):
+        for p, q in ((7, 9), (9, 7)):
+            values = set()
+            for method in ("stanley", "oracle"):
+                code, out, _ = run(capsys, "eval", "--method", method,
+                                   "--cycle", cycle, "--p", str(p),
+                                   "--q", str(q))
+                assert code == 0
+                values.add(table_fields(out)["value"])
+            assert len(values) == 1, (cycle, p, q, values)
+
+    code, out, _ = run(capsys, "bench", "--k", "17,24,25")
+    assert code == 0
+    assert [(row[0], row[1]) for row in csv.reader(io.StringIO(out))][1:] == [
+        ("closed", "17"), ("oracle", "17"), ("stanley", "17"),
+        ("closed", "24"), ("oracle", "24"), ("stanley", "24"),
+        ("closed", "25")]
 
 
 def test_eval_rejects_bad_cycle_type(capsys):
@@ -252,9 +270,10 @@ def test_poly_usage_errors(capsys):
     code, _, err = run(capsys, "poly", "--kind", "stanley")
     assert code == 2 and "--cycle is required" in err
 
-    code, _, err = run(capsys, "poly", "--kind", "stanley",
-                       "--cycle", "9,8")
-    assert code == 2 and "capped" in err
+    code, out, err = run(capsys, "poly", "--kind", "stanley",
+                         "--cycle", f"{TYPE_CAP},1")
+    assert code == 2 and out == ""
+    assert f"size <= {TYPE_CAP}, got {TYPE_CAP + 1}" in err
 
     for two_d in (FAMILY_CAP + 2, -(FAMILY_CAP + 2), 1000):
         kind = "G" if two_d % 2 == 0 else "H"
@@ -299,13 +318,13 @@ def test_verify_transpose_oracle_stops_at_its_cap(capsys, monkeypatch):
     monkeypatch.setattr("rectchar.cli.stanley_poly",
                         lambda pi: BiPoly.zero())
     code, out, _ = run(capsys, "verify", "--suite", "transpose",
-                       "--k-max", str(STANLEY_CAP + 2), "--pq-max", "2")
+                       "--k-max", str(TYPE_CAP + 2), "--pq-max", "2")
     assert code == 0
-    assert sizes == set(range(1, STANLEY_CAP + 1))
+    assert sizes == set(range(1, TYPE_CAP + 1))
     oracle_lines = [line for line in out.splitlines()
                     if line.startswith("PASS transpose oracle")]
     assert len(oracle_lines) == sum(
-        1 for size in range(1, STANLEY_CAP + 1) for _ in partitions(size))
+        1 for size in range(1, TYPE_CAP + 1) for _ in partitions(size))
 
 
 def test_verify_integrality_families_stop_at_their_cap(capsys, monkeypatch):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from polyfixtures import CYCLE_PARITY, EXPECTED
-from rectchar.cli import CLOSED_CAP, STANLEY_CAP
+from rectchar.cli import CLOSED_CAP, TYPE_CAP
 from rectchar.closed import (
     ch_rect_fast,
     closed_char_ed,
@@ -88,7 +88,7 @@ _ED_POINTS = ((4, 1), (Fraction(9, 2), Fraction(3, 2)),
 
 
 def test_closed_char_ed_matches_stanley_up_to_the_stanley_cap():
-    for k in range(1, STANLEY_CAP + 1):
+    for k in range(1, TYPE_CAP + 1):
         pi = Partition((k,))
         for e, d in _ED_POINTS:
             want = stanley_eval(pi, e - d, e + d)

@@ -31,7 +31,6 @@ from rectchar import (
     rectangle,
     stanley_eval,
     stanley_poly,
-    transpose,
 )
 from rectchar.exact import catalan, integer, rational
 
@@ -79,7 +78,6 @@ RULE = [
     ("rectangle q", lambda x: rectangle(3, x), 2, False),
     ("partitions n", lambda x: list(partitions(x)), 4, False),
     ("partitions max_part", lambda x: list(partitions(4, x)), 2, False),
-    ("transpose part", lambda x: transpose((x, 1)), 2, False),
     ("dim_f part", lambda x: dim_f((x, 1)), 2, False),
     ("character_mn shape part",
      lambda x: character_mn((x, 2), (3, 1)), 2, False),

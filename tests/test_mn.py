@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from bruteforce import (
     border_strips,
     character_bruteforce,
+    conjugate,
     hook_length_dim,
     syt_count,
 )
@@ -27,7 +28,7 @@ from rectchar.mn import (
     one_cycle_character,
 )
 from rectchar.stanley import stanley_eval
-from rectchar.young import Partition, partitions, rectangle, transpose
+from rectchar.young import Partition, partitions, rectangle
 
 # Full character table of S_4: rows are shapes, columns are the classes
 # 1^4, (2,1,1), (2,2), (3,1), (4).
@@ -93,7 +94,7 @@ def test_conjugate_shape_sign():
         for lam in partitions(n):
             for mu in partitions(n):
                 sign = -1 if (n - mu.length) % 2 else 1
-                assert (character_mn(transpose(lam), mu)
+                assert (character_mn(conjugate(lam.parts), mu)
                         == sign * character_mn(lam, mu)), (lam, mu)
 
 

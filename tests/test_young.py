@@ -6,13 +6,12 @@ from math import factorial
 import pytest
 from hypothesis import given, strategies as st
 
-from bruteforce import hook_length_dim, syt_count
+from bruteforce import conjugate, hook_length_dim, syt_count
 from rectchar.young import (
     Partition,
     dim_f,
     partitions,
     rectangle,
-    transpose,
 )
 
 small_partitions = st.lists(
@@ -64,16 +63,10 @@ def test_rectangle():
             rectangle(p, q)
 
 
-def test_transpose_examples():
-    assert transpose(Partition((4, 2, 1))).parts == (3, 2, 1, 1)
-    assert transpose(Partition(())).parts == ()
-    assert transpose(rectangle(2, 5)) == rectangle(5, 2)
-
-
 @given(small_partitions)
 def test_transpose_involution(lam):
-    assert transpose(transpose(lam)) == lam
-    assert transpose(lam).size == lam.size
+    assert conjugate(conjugate(lam.parts)) == lam.parts
+    assert sum(conjugate(lam.parts)) == lam.size
 
 
 def test_dim_examples():
@@ -103,7 +96,7 @@ def test_dim_squares_sum_to_factorial():
 
 @given(small_partitions)
 def test_dim_transpose_symmetry(lam):
-    assert dim_f(lam) == dim_f(transpose(lam))
+    assert dim_f(lam) == dim_f(conjugate(lam.parts))
 
 
 def test_partitions_enumeration():
