@@ -18,8 +18,10 @@ stanley out past theirs, poly --kind stanley takes the type cap, and
 verify's vanishing suite runs each method that accepts its input.
 poly --kind G|H|I|J is capped at |two_d| <= 120.  verify walks one grid,
 the p x q with both sides <= --pq-max and at most 60 boxes, and runs each
-suite within caps of its own.  README's "Caps and exit codes" gives every
-cap with its measured cost.
+suite within caps of its own.  verify prints each case's line as its
+check returns and, with --threads 1, holds one case at a time; --threads
+above 1 still submits every case to the pool up front.  README's "Caps
+and exit codes" gives every cap with its measured cost.
 
 Exit codes: 0 on success, 1 when a verification or cross-check fails, 2 on
 usage errors including cap violations.
@@ -204,8 +206,7 @@ def _grid(args) -> tuple[tuple[int, int], ...]:
                  for q in range(1, min(args.pq_max, GRID_CAP // p) + 1))
 
 
-def _suite_oracle_match(args) -> list:
-    cases = []
+def _suite_oracle_match(args):
     grid = _grid(args)
     for pi in _iter_cycle_types(min(args.k_max, TYPE_CAP)):
         shown = str(pi)
@@ -214,8 +215,7 @@ def _suite_oracle_match(args) -> list:
                 want = normalized_character(pi, rectangle(p, q))
                 got = stanley_eval(pi, p, q)
                 return got == want or f"stanley={got} oracle={want}"
-            cases.append((f"oracle-match stanley pi={shown} p={p} q={q}",
-                          check))
+            yield f"oracle-match stanley pi={shown} p={p} q={q}", check
     # past GRID_CAP + 1 both sides are 0 on every rectangle of the grid
     for k in range(1, min(args.k_max, GRID_CAP + 1) + 1):
         for p, q in grid:
@@ -223,12 +223,10 @@ def _suite_oracle_match(args) -> list:
                 want = normalized_character(Partition((k,)), rectangle(p, q))
                 got = ch_rect_fast(k, p, q)
                 return got == want or f"closed={got} oracle={want}"
-            cases.append((f"oracle-match closed k={k} p={p} q={q}", check))
-    return cases
+            yield f"oracle-match closed k={k} p={p} q={q}", check
 
 
-def _suite_transpose(args) -> list:
-    cases = []
+def _suite_transpose(args):
     types = tuple(_iter_cycle_types(min(args.k_max, TYPE_CAP)))
     for pi in types:
         sign = -1 if (pi.size - pi.length) % 2 else 1
@@ -236,7 +234,7 @@ def _suite_transpose(args) -> list:
             poly = stanley_poly(pi)
             swapped, signed = poly.swap(), sign * poly
             return swapped == signed or f"swapped={swapped} signed={signed}"
-        cases.append((f"transpose poly pi={pi}", check))
+        yield f"transpose poly pi={pi}", check
     wide = tuple((p, q) for p, q in _grid(args) if q > p)
     for pi in types:
         shown = str(pi)
@@ -247,12 +245,10 @@ def _suite_transpose(args) -> list:
                 right = sign * normalized_character(pi, rectangle(p, q))
                 return left == right or (f"oracle({q}x{p})={left} "
                                          f"signed oracle({p}x{q})={right}")
-            cases.append((f"transpose oracle pi={shown} p={p} q={q}", check))
-    return cases
+            yield f"transpose oracle pi={shown} p={p} q={q}", check
 
 
-def _suite_integrality(args) -> list:
-    cases = []
+def _suite_integrality(args):
     top = min(2 * args.k_max, FAMILY_CAP)
     for two_d in range(-top, top + 1):
         for parity in ("odd", "even"):
@@ -260,49 +256,41 @@ def _suite_integrality(args) -> list:
                 poly = corollary_poly(two_d, parity)
                 return all(isinstance(c, int)
                            for c in poly.terms().values())
-            cases.append(
-                (f"integrality family two_d={two_d} parity={parity}", check))
+            yield f"integrality family two_d={two_d} parity={parity}", check
     # the witnesses over the families' own range of d
     k_top = min(args.k_max, FAMILY_CAP)
     for d in range(-top, top + 1):
         def check(d=d):
             return all(integrality_witness(d, k).denominator == 1
                        for k in range(1, k_top + 1))
-        cases.append((f"integrality witness d={d} k<={k_top}", check))
-    return cases
+        yield f"integrality witness d={d} k<={k_top}", check
 
 
-def _suite_vanishing(args) -> list:
-    cases = []
+def _suite_vanishing(args):
     for j in range(2, min(args.j_max, (CLOSED_CAP + 1) // 2) + 1):
         k, p, q = 2 * j - 1, 2 * j - 2, 2 * j + 1
         def check(pi=Partition((k,)), p=p, q=q):
             return all(_evaluate(method, pi, p, q) == 0
                        for method in ("closed", "stanley", "oracle")
                        if _refusal(method, pi, p, q) is None)
-        cases.append((f"vanishing j={j} cycle {k} rect {p}x{q}", check))
-    return cases
+        yield f"vanishing j={j} cycle {k} rect {p}x{q}", check
 
 
-def _suite_jm(args) -> list:
-    return [(f"jm factorization k={k}",
-             lambda k=k: jm_factorization_check(k))
-            for k in range(1, min(args.k_max, JM_CAP) + 1)]
+def _suite_jm(args):
+    for k in range(1, min(args.k_max, JM_CAP) + 1):
+        yield f"jm factorization k={k}", lambda k=k: jm_factorization_check(k)
 
 
-def _suite_leading_catalan(args) -> list:
-    cases = []
+def _suite_leading_catalan(args):
     for j in range(1, min(args.j_max, (TYPE_CAP + 1) // 2) + 1):
         def check(j=j):
             got = leading_square_coeff(j)
             want = (-1 if j % 2 == 0 else 1) * catalan(j - 1)
             return got == want or f"coefficient={got} signed catalan={want}"
-        cases.append((f"leading-catalan j={j}", check))
-    return cases
+        yield f"leading-catalan j={j}", check
 
 
-def _suite_basis(args) -> list:
-    cases = []
+def _suite_basis(args):
     top = min(args.j_max, (TYPE_CAP + 1) // 2)
     for j in range(1, top + 1):
         def check(j=j):
@@ -324,12 +312,10 @@ def _suite_basis(args) -> list:
                     basis = basis * (d2 - r * r)
                 rebuilt = rebuilt + entry * basis
             return rebuilt == poly
-        cases.append((f"basis j={j} cycle {2 * j - 1}", check))
-    return cases
+        yield f"basis j={j} cycle {2 * j - 1}", check
 
 
-def _suite_minus_one(args) -> list:
-    cases = []
+def _suite_minus_one(args):
     p, q = BiPoly({(1, 0): 1}), BiPoly({(0, 1): 1})
     for k in range(1, min(args.k_max, TYPE_CAP) + 1):
         def check(k=k):
@@ -345,8 +331,7 @@ def _suite_minus_one(args) -> list:
                     == minus_one_row_char(k, 7)
                     and stanley_eval(Partition((k,)), 7, -1)
                     == minus_one_col_char(k, 7))
-        cases.append((f"minus-one k={k}", check))
-    return cases
+        yield f"minus-one k={k}", check
 
 
 _SUITE_BUILDERS = {
@@ -363,39 +348,42 @@ _SUITES = tuple(_SUITE_BUILDERS)
 
 
 def _cmd_verify(args) -> int:
-    selected = list(_SUITES) if args.suite == "all" else [args.suite]
-    cases = []
-    for name in selected:
-        cases.extend(_SUITE_BUILDERS[name](args))
+    selected = _SUITES if args.suite == "all" else (args.suite,)
+    cases = (case for name in selected for case in _SUITE_BUILDERS[name](args))
 
-    def run(case) -> str | None:
-        # None for a pass, else what follows the case name on its FAIL line;
-        # a check passes with a true value and may fail with a string that
-        # shows the values that disagreed
+    def run(case) -> tuple[str, str | None]:
+        # the case name, and None for a pass, else what follows the name on
+        # its FAIL line; a check passes with a true value and may fail with
+        # a string that shows the values that disagreed
+        name, check = case
         try:
-            passed = case[1]()
+            passed = check()
         except Exception as exc:
-            return f": {type(exc).__name__}: {exc}"
+            return name, f": {type(exc).__name__}: {exc}"
         if isinstance(passed, str):
-            return f": {passed}"
-        return None if passed else ""
+            return name, f": {passed}"
+        return name, None if passed else ""
+
+    def report(outcomes) -> int:
+        passes = failures = 0
+        for name, why in outcomes:
+            if why is None:
+                print(f"PASS {name}")
+                passes += 1
+            else:
+                print(f"FAIL {name}{why}")
+                failures += 1
+        print(f"verify: {passes} passed, {failures} failed")
+        return 1 if failures else 0
 
     if args.threads > 1:
-        # imported here: concurrent.futures costs every CLI start ~8 ms
+        # imported here: concurrent.futures costs every CLI start ~8 ms;
+        # map submits every case up front and yields the outcomes in order
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            outcomes = list(pool.map(run, cases))
-    else:
-        outcomes = [run(case) for case in cases]
-    failures = 0
-    for (name, _), why in zip(cases, outcomes):
-        if why is None:
-            print(f"PASS {name}")
-        else:
-            print(f"FAIL {name}{why}")
-            failures += 1
-    print(f"verify: {len(cases) - failures} passed, {failures} failed")
-    return 1 if failures else 0
+            return report(pool.map(run, cases))
+    # one case at a time, each line printed as its check returns
+    return report(map(run, cases))
 
 
 # bench ------------------------------------------------------------------------

@@ -48,7 +48,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
 from math import comb, factorial
 
 from ._poly import BiPoly, DEPoly, _collect
@@ -346,7 +345,9 @@ def jm_factorization_check(k: int) -> bool:
                 step[swapped] = step.get(swapped, 0) + c
                 images[a], images[i] = images[i], images[a]
         product = step
-    return product == dict.fromkeys(permutations(range(k)), 1)
+    # every key is a rearrangement of range(k), so k! keys are all of S_k
+    return (len(product) == factorial(k)
+            and all(c == 1 for c in product.values()))
 
 
 if __name__ == "__main__":

@@ -1,5 +1,6 @@
 """End-to-end tests for the command line interface."""
 
+import contextlib
 import csv
 import hashlib
 import io
@@ -414,9 +415,12 @@ def test_verify_all_suites_small_bounds(capsys):
     (("--k-max", "7", "--pq-max", "7", "--threads", "1"),
      "51252d25b8d158788fa1175eaf06ea9dcedbd1e1a584c516cecb5464a0ea4036",
      "verify: 3579 passed, 0 failed"),
+    (("--k-max", "7", "--pq-max", "7", "--threads", "2"),
+     "51252d25b8d158788fa1175eaf06ea9dcedbd1e1a584c516cecb5464a0ea4036",
+     "verify: 3579 passed, 0 failed"),
     ((), "231458fb4770b3e686be5f83cb1a7e21c7ae4465d31576936dab09520830fde5",
      "verify: 1822 passed, 0 failed"),
-], ids=("k7-pq7", "defaults"))
+], ids=("k7-pq7", "k7-pq7-threads2", "defaults"))
 def test_verify_case_list_is_pinned(capsys, argv, digest, summary):
     # every case name, its order and its outcome, as a digest of stdout
     code, out, _ = run(capsys, "verify", "--suite", "all", *argv)
@@ -457,6 +461,25 @@ def test_cli_import_leaves_out_the_thread_pool():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     done = subprocess.run([sys.executable, "-c", code], env=env, timeout=60)
     assert done.returncode == 0
+
+
+def test_verify_prints_each_case_as_its_check_returns(monkeypatch):
+    # a case runs only after the lines of the cases before it are printed
+    out = io.StringIO()
+    seen = {}
+
+    def check(k):
+        seen[k] = out.getvalue()
+        return True
+
+    monkeypatch.setattr("rectchar.cli.jm_factorization_check", check)
+    with contextlib.redirect_stdout(out):
+        code = main(["verify", "--suite", "jm", "--k-max", "3"])
+    assert code == 0
+    assert seen == {1: "",
+                    2: "PASS jm factorization k=1\n",
+                    3: "PASS jm factorization k=1\n"
+                       "PASS jm factorization k=2\n"}
 
 
 def test_verify_reports_failures(capsys, monkeypatch):
