@@ -28,14 +28,17 @@ no code with the two integer evaluators and serves as their reference.
 ch_rect_fast evaluates that sum for all four cases at once in the integers
 S = 2 e and D = 2 d, and one checked exact division ends it.
 
-Both integer evaluators run one pass up the offsets t.  It keeps a term,
-the family coefficient times the factors D^2 - t^2 below t, stepped by an
-exact recurrence, and a total, which is multiplied by the next factor
-S^2 - t^2 (4 n + D^2 - t^2 for the families) before the new term is
-added.  The term is 0 from t = |D| on, and the rest of the pass only
-multiplies in the run of linear factors.  Every product is a long number
-times a short one, so a k-cycle costs about k^2 digit operations (times
-the digits of the sides), whatever |q - p| is.
+Both integer evaluators run one pass up the offsets t below |D|.  It
+keeps a term, the family coefficient times the factors D^2 - t^2 below t,
+stepped by an exact recurrence, and a total, which is multiplied by the
+next factor S^2 - t^2 (4 n + D^2 - t^2 for the families) before the new
+term is added.  The term is 0 from t = |D| on, so the rest is the run of
+linear factors alone.  At t = |D| + 2 i each of them is 4 (lo - i)(hi + i),
+with lo the shorter side and hi the longer one, so ch_rect_fast takes the
+whole run as two falling factorials (math.perm, a product tree in C).
+Every step of the pass multiplies a long number by a short one, so a
+k-cycle costs min(k / 2, |q - p| / 2) such steps of about k digits (times
+the digits of the sides), plus the two falling factorials.
 
 The module imports only the polynomial types and the exactness rule and
 Catalan numbers of rectchar.exact, nothing from the oracle or from
@@ -191,9 +194,10 @@ def ch_rect_fast(k_cycle: int, p: int, q: int) -> int:
     """Normalized character of the p x q rectangle on a k_cycle-cycle.
 
     Evaluates the closed formula in the integer coordinates S = p + q and
-    D = q - p in one pass of about k_cycle / 2 steps, each multiplying
-    numbers of O(k_cycle log n) digits by short ones only, whatever |q - p|
-    is, and one checked exact division at the end.  A cycle of length
+    D = q - p in one pass of min(k_cycle, |q - p|) / 2 steps, each
+    multiplying numbers of O(k_cycle log n) digits by short ones only, then
+    two falling factorials of the sides for the run of linear factors left,
+    and one checked exact division at the end.  A cycle of length
     p + q or more is 0 at once: the largest hook of p x q has length
     p + q - 1, so no rim hook of that length exists.  So is an even cycle
     on a square, whose prefactor holds q - p.
@@ -212,6 +216,7 @@ def ch_rect_fast(k_cycle: int, p: int, q: int) -> int:
     if k_cycle >= p + q:
         return 0
     s2 = (p + q) ** 2
+    lo, hi = (p, q) if p < q else (q, p)
     dd = q - p
     d2 = dd * dd
     # Four times each (e, d) factor of closed_char_ed: the shifts r or
@@ -232,15 +237,25 @@ def ch_rect_fast(k_cycle: int, p: int, q: int) -> int:
         return 0
     c0 = prod(range(1 + h, 2 * j - 2 + h, 2))
     # term: c_k times the factors D^2 - t^2 below t; total: the terms so
-    # far, each times the factors S^2 - t^2 from its own t up
+    # far, each times the factors S^2 - t^2 from its own t up.  The term
+    # is 0 from t = |D| on, so the pass stops there after head steps.
     t0 = dd % 2 or h
+    head = (hi - lo - t0) // 2
+    if head > j:
+        head = j
+    up, down = 2 * j - 1 + h, 1 + h
     total = term = c0
-    for k in range(j):
+    for k in range(head):
         t = t0 + 2 * k
-        term = (term * ((t * t - d2) * (j - k) * (2 * j + 2 * k - 1 + h))
-                // ((k + 1) * (2 * k + 1 + h)))
+        term = (term * ((t * t - d2) * (j - k) * (up + 2 * k))
+                // ((k + 1) * (down + 2 * k)))
         total = total * (s2 - t * t) + term
-    num, den = pref * total, 4 ** j * c0 * pref_den
+    # The run of factors S^2 - t^2 left, at t = |D| + 2 i for i < run, is
+    # 4 (lo - i)(hi + i) each: two falling factorials of the sides.
+    run = j - head
+    if run:
+        total *= perm(lo, run) * perm(hi + run - 1, run)
+    num, den = pref * total, 4 ** head * c0 * pref_den
     value, rem = divmod(num, den)
     if rem:
         raise ArithmeticError(f"non-integer character value {num}/{den}")

@@ -212,6 +212,30 @@ def test_ch_rect_fast_matches_ed_sum(case):
     assert ch_rect_fast(k, p, q) == want
 
 
+def test_ch_rect_fast_split_at_the_difference_matches_ed_sum():
+    # the pass stops at t = |q - p| and takes the rest of the run as two
+    # falling factorials: run = j, run = 1 and an empty run all occur
+    # here, and so do even cycles with odd q - p (t0 = 1, h = 2)
+    for k in range(1, 25):
+        for p in (1, 7, 10**12):
+            for q in range(max(1, p - k - 2), p + k + 3):
+                two_d = q - p
+                want = closed_char_ed(k, Fraction(p + q, 2),
+                                      Fraction(two_d, 2),
+                                      "odd" if two_d % 2 else "even")
+                assert ch_rect_fast(k, p, q) == want, (k, p, q)
+
+
+@pytest.mark.parametrize("k", [99, 150, 199])
+def test_ch_rect_fast_near_square_matches_oracle_at_scale(k):
+    # the oracle shares no code with the closed route
+    p = k // 2 + 10
+    for diff in (0, 1, 2, k - 1, k, k + 1):
+        for a, b in ((p, p + diff), (p + diff, p)):
+            want = normalized_character(Partition((k,)), rectangle(a, b))
+            assert ch_rect_fast(k, a, b) == want, (k, a, b)
+
+
 def test_ch_rect_fast_matches_oracle():
     for k in range(1, 9):
         for p in range(1, 9):
