@@ -1,11 +1,11 @@
 """Independent brute-force oracles used only by the test suite.
 
 Everything here is deliberately naive: standard tableaux are counted by
-corner removal or by the hook of every box, border strips by filtering
-all sub-partitions, characters by stripping those border strips, Stirling
-numbers by the textbook recurrence, factorizations of a permutation by
-trying all k! of them.  The
-point is that none of it shares code or ideas with the library
+corner removal or by the hook of every box, content products multiplied
+out box by box, border strips found by filtering all sub-partitions,
+characters by stripping those border strips, Stirling numbers by the
+textbook recurrence, factorizations of a permutation by trying all k! of
+them.  The point is that none of it shares code or ideas with the library
 implementations it checks.
 """
 
@@ -46,6 +46,21 @@ def conjugate(parts: tuple[int, ...]) -> tuple[int, ...]:
     longer than j."""
     return tuple(sum(1 for row in parts if row > j)
                  for j in range(parts[0] if parts else 0))
+
+
+def content_coefficients(parts: tuple[int, ...]) -> tuple[int, ...]:
+    """Coefficients of the product over the boxes of (x + content), entry a
+    multiplying x^a, one box at a time; the box in row i, column j (from 0)
+    has content j - i."""
+    coeffs = [1]
+    for i, row in enumerate(parts):
+        for j in range(row):
+            content = j - i
+            coeffs.append(0)
+            for a in range(len(coeffs) - 1, 0, -1):
+                coeffs[a] = coeffs[a - 1] + content * coeffs[a]
+            coeffs[0] *= content
+    return tuple(coeffs)
 
 
 def sub_partitions(parts: tuple[int, ...]):

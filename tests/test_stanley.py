@@ -14,8 +14,11 @@ import rectchar.mn
 import rectchar.stanley
 from bruteforce import (
     character_bruteforce,
+    conjugate,
+    content_coefficients,
     cycle_type_representative,
     factorization_table,
+    hook_length_dim,
     stirling_first_unsigned,
 )
 from rectchar._poly import BiPoly, DEPoly
@@ -23,7 +26,10 @@ from rectchar.closed import ch_rect_fast, closed_char_ed
 from rectchar.mn import normalized_character
 from rectchar.stanley import (
     _column,
+    _conjugate_mask,
+    _content_coeffs,
     _joint_cycle_table,
+    _shape,
     _spans,
     BasisMismatch,
     decompose_even_basis,
@@ -111,13 +117,77 @@ def test_table_shares_no_code_with_the_oracle():
                                                           route)
 
 
+def test_content_coeffs_match_the_box_by_box_product():
+    for k in range(15):
+        for lam in partitions(k):
+            assert (_content_coeffs(k, list(lam.parts))
+                    == content_coefficients(lam.parts)), lam
+
+
+def test_content_coeffs_refuse_more_boxes_than_the_size():
+    # x (x + 1) (x + 2) has a cube term that two digits cannot hold
+    with pytest.raises(ArithmeticError, match="more than 1 boxes"):
+        _content_coeffs(1, [3])
+
+
+def test_conjugate_mask_is_an_involution_that_conjugates():
+    for k in range(15):
+        for lam in partitions(k):
+            mask = _beta_set(lam.parts, k)
+            flipped = _conjugate_mask(k, mask)
+            assert flipped == _beta_set(conjugate(lam.parts), k), lam
+            assert _conjugate_mask(k, flipped) == mask, lam
+
+
+def test_shape_weighs_one_shape_of_each_conjugate_pair():
+    # the smaller mask of a pair 2 f with its coefficients, the larger 0
+    # with none, a self-conjugate shape f
+    for k in range(15):
+        for lam in partitions(k):
+            mask = _beta_set(lam.parts, k)
+            other = _beta_set(conjugate(lam.parts), k)
+            dim = hook_length_dim(lam.parts)
+            weight, coeffs = _shape(k, mask)
+            if mask > other:
+                assert (weight, coeffs) == (0, ()), lam
+                continue
+            assert weight == (dim if mask == other else 2 * dim), lam
+            assert coeffs == content_coefficients(lam.parts), lam
+
+
+def test_paired_table_equals_the_unpaired_content_sum():
+    # every shape with its own f, character and box-by-box content
+    # product, on the whole square, then the one division by k!
+    for k in range(13):
+        shapes = []
+        for lam in partitions(k):
+            coeffs = content_coefficients(lam.parts)
+            shapes.append((_beta_set(lam.parts, k), hook_length_dim(lam.parts),
+                           [[ca * cb for cb in coeffs] for ca in coeffs]))
+        for pi in partitions(k):
+            column = _column(k, pi.parts)
+            total = [[0] * (k + 1) for _ in range(k + 1)]
+            for mask, dim, outer in shapes:
+                weight = dim * column.get(mask, 0)
+                if weight:
+                    for row, products in zip(total, outer):
+                        for b, product in enumerate(products):
+                            row[b] += weight * product
+            assert all(entry % factorial(k) == 0 for row in total
+                       for entry in row), pi
+            unpaired = [[entry // factorial(k) for entry in row]
+                        for row in total]
+            assert dense_table(pi.parts) == unpaired, pi
+
+
 def test_joint_table_refuses_a_sum_with_a_remainder(monkeypatch):
-    # weight 1 on the one-row shape (2,) alone, two beads at 0 and 3,
-    # leaves x (x + 1) y (y + 1) / 2
+    # weight f = 2 on the self-conjugate (2, 1) alone, which the pairing
+    # keeps, leaves 2 (x^3 - x)(y^3 - y), entries of +-2 on the spans
+    # that 3! does not divide
     monkeypatch.setattr("rectchar.stanley._column",
-                        lambda k, parts: {_beta_set((2,), 2): 1})
-    with pytest.raises(ArithmeticError):
-        _joint_cycle_table.__wrapped__((2,))
+                        lambda k, parts: {_beta_set((2, 1), 3): 1})
+    with pytest.raises(ArithmeticError, match="not divisible"):
+        _joint_cycle_table.__wrapped__((3,))
 
 
 def test_spans_hold_every_nonzero_entry():
