@@ -6,7 +6,9 @@ out box by box, border strips found by filtering all sub-partitions,
 characters by stripping those border strips, Stirling numbers by the
 textbook recurrence, factorizations of a permutation by trying all k! of
 them.  The point is that none of it shares code or ideas with the library
-implementations it checks.
+implementations it checks.  The one exception is column_largest_first, the
+library's abacus sweep with the parts in the opposite order, the reference
+that shows the order of the strips does not change the column.
 """
 
 from __future__ import annotations
@@ -190,3 +192,24 @@ def character_bruteforce(parts: tuple[int, ...], mu: tuple[int, ...]) -> int:
         value = character_bruteforce(inner, mu[1:])
         total += -value if height % 2 else value
     return total
+
+
+def column_largest_first(k: int, parts: tuple[int, ...]) -> dict[int, int]:
+    """The nonzero characters chi^lam(parts) of the shapes lam |- k, keyed
+    by k-bead beta-set bitmask, by the abacus sweep with the largest part
+    first: each part r moves a bead from x up to an empty x + r, with the
+    sign of the beads it jumps."""
+    column = {(1 << k) - 1: 1}
+    for r in parts:
+        step: dict[int, int] = {}
+        for mask, value in column.items():
+            movable = mask & ~(mask >> r)
+            while movable:
+                bead = movable & -movable
+                movable ^= bead
+                moved = mask ^ bead ^ (bead << r)
+                jumped = (mask & ((bead << r) - (bead << 1))).bit_count()
+                step[moved] = step.get(moved, 0) + (-value if jumped % 2
+                                                    else value)
+        column = {mask: value for mask, value in step.items() if value}
+    return column

@@ -1,6 +1,7 @@
 """Tests for Stanley's rectangle formula and its polynomial forms."""
 
 import ast
+import hashlib
 from fractions import Fraction
 from math import factorial
 from pathlib import Path
@@ -14,6 +15,7 @@ import rectchar.mn
 import rectchar.stanley
 from bruteforce import (
     character_bruteforce,
+    column_largest_first,
     conjugate,
     content_coefficients,
     cycle_type_representative,
@@ -83,6 +85,23 @@ def test_column_matches_bruteforce():
                     for lam in shapes}
             want = {mask: chi for mask, chi in want.items() if chi}
             assert _column(k, mu) == want, mu
+
+
+def test_column_does_not_depend_on_the_order_of_the_strips():
+    # smallest part first, against the sweep with the largest part first
+    for pi in _cycle_types(12):
+        assert _column(pi.size, pi.parts) == column_largest_first(
+            pi.size, pi.parts), pi
+
+
+def test_joint_tables_up_to_size_fourteen_are_pinned():
+    # SHA-256 of repr of the list of tables, in the order of partitions(k)
+    # for k = 1..14, as the table stood before its sums went one triangle
+    # at a time
+    tables = [_joint_cycle_table(pi.parts) for pi in _cycle_types(14)]
+    assert len(tables) == 507
+    assert hashlib.sha256(repr(tables).encode()).hexdigest() == (
+        "b33add5b37441dc30477bc46b77368c5df0d3e3a24a0db988d942ef6c4e0f0ab")
 
 
 def _package_imports(module):
@@ -190,6 +209,16 @@ def test_joint_table_refuses_a_sum_with_a_remainder(monkeypatch):
         _joint_cycle_table.__wrapped__((3,))
 
 
+def test_joint_table_with_no_shape_kept_is_refused(monkeypatch):
+    # the larger mask of the pair (3), (1, 1, 1) alone: the sum has no
+    # term, and its entries, all 0, do not add up to 3!
+    larger = max(_beta_set((3,), 3), _beta_set((1, 1, 1), 3))
+    monkeypatch.setattr("rectchar.stanley._column",
+                        lambda k, parts: {larger: 1})
+    with pytest.raises(ArithmeticError, match="outside the spans"):
+        _joint_cycle_table.__wrapped__((3,))
+
+
 def test_spans_hold_every_nonzero_entry():
     # the parity and triangle bounds of _spans, against the brute force
     for k in range(8):
@@ -229,10 +258,12 @@ def test_joint_table_total_and_marginals_are_stirling():
 
 
 def test_joint_table_symmetry():
-    for parts in ((2, 2, 1), (3, 1), (6,), (4, 3, 2, 1), (5, 5, 2)):
-        table = dense_table(parts)
+    # the premise of the table's one triangle: s1 s2 = w has as many
+    # factorizations with (c1, c2) cycles as with (c2, c1)
+    for pi in _cycle_types(7):
+        table = factorization_table(cycle_type_representative(pi.parts))
         assert all(table[a][b] == table[b][a]
-                   for a in range(len(table)) for b in range(len(table)))
+                   for a in range(len(table)) for b in range(len(table))), pi
 
 
 def test_joint_table_identity_is_diagonal():
