@@ -17,11 +17,12 @@ bench refuses a cycle past the closed cap and leaves the oracle and
 stanley out past theirs, poly --kind stanley takes the type cap, and
 verify's vanishing suite runs each method that accepts its input.
 poly --kind G|H|I|J is capped at |two_d| <= 120.  verify walks one grid,
-the p x q with both sides <= --pq-max and at most 60 boxes, and runs each
-suite within caps of its own.  verify prints each case's line as its
-check returns and, with --threads 1, holds one case at a time; --threads
-above 1 still submits every case to the pool up front.  README's "Caps
-and exit codes" gives every cap with its measured cost.
+the p x q with both sides <= --pq-max and at most 60 boxes, each
+rectangle built once per suite, and runs each suite within caps of its
+own.  verify writes each case's line, in one write, as its check returns
+and, with --threads 1, holds one case at a time; --threads above 1 still
+submits every case to the pool up front.  README's "Caps and exit
+codes" gives every cap with its measured cost.
 
 Exit codes: 0 on success, 1 when a verification or cross-check fails, 2 on
 usage errors including cap violations.
@@ -199,28 +200,32 @@ def _iter_cycle_types(k_max: int):
         yield from partitions(size)
 
 
-def _grid(args) -> tuple[tuple[int, int], ...]:
-    """The rectangles p x q the suites check, rows first: both sides at
-    most --pq-max and at most GRID_CAP boxes."""
-    return tuple((p, q) for p in range(1, min(args.pq_max, GRID_CAP) + 1)
-                 for q in range(1, min(args.pq_max, GRID_CAP // p) + 1))
+def _grid(args) -> dict[tuple[int, int], Partition]:
+    """The rectangles the suites check, keyed by their sides (p, q) rows
+    first: both sides at most --pq-max and at most GRID_CAP boxes, each
+    built once per suite.  p * q <= GRID_CAP holds both ways, so the grid
+    holds q x p whenever it holds p x q."""
+    top = min(args.pq_max, GRID_CAP)
+    return {(p, q): rectangle(p, q) for p in range(1, top + 1)
+            for q in range(1, min(top, GRID_CAP // p) + 1)}
 
 
 def _suite_oracle_match(args):
     grid = _grid(args)
     for pi in _iter_cycle_types(min(args.k_max, TYPE_CAP)):
         shown = str(pi)
-        for p, q in grid:
-            def check(pi=pi, p=p, q=q):
-                want = normalized_character(pi, rectangle(p, q))
+        for (p, q), shape in grid.items():
+            def check(pi=pi, p=p, q=q, shape=shape):
+                want = normalized_character(pi, shape)
                 got = stanley_eval(pi, p, q)
                 return got == want or f"stanley={got} oracle={want}"
             yield f"oracle-match stanley pi={shown} p={p} q={q}", check
     # past GRID_CAP + 1 both sides are 0 on every rectangle of the grid
     for k in range(1, min(args.k_max, GRID_CAP + 1) + 1):
-        for p, q in grid:
-            def check(k=k, p=p, q=q):
-                want = normalized_character(Partition((k,)), rectangle(p, q))
+        pi = Partition((k,))
+        for (p, q), shape in grid.items():
+            def check(pi=pi, k=k, p=p, q=q, shape=shape):
+                want = normalized_character(pi, shape)
                 got = ch_rect_fast(k, p, q)
                 return got == want or f"closed={got} oracle={want}"
             yield f"oracle-match closed k={k} p={p} q={q}", check
@@ -235,14 +240,16 @@ def _suite_transpose(args):
             swapped, signed = poly.swap(), sign * poly
             return swapped == signed or f"swapped={swapped} signed={signed}"
         yield f"transpose poly pi={pi}", check
-    wide = tuple((p, q) for p, q in _grid(args) if q > p)
+    grid = _grid(args)
+    wide = tuple((p, q, shape, grid[q, p])
+                 for (p, q), shape in grid.items() if q > p)
     for pi in types:
         shown = str(pi)
         sign = -1 if (pi.size - pi.length) % 2 else 1
-        for p, q in wide:
-            def check(pi=pi, p=p, q=q, sign=sign):
-                left = normalized_character(pi, rectangle(q, p))
-                right = sign * normalized_character(pi, rectangle(p, q))
+        for p, q, shape, turned in wide:
+            def check(pi=pi, p=p, q=q, shape=shape, turned=turned, sign=sign):
+                left = normalized_character(pi, turned)
+                right = sign * normalized_character(pi, shape)
                 return left == right or (f"oracle({q}x{p})={left} "
                                          f"signed oracle({p}x{q})={right}")
             yield f"transpose oracle pi={shown} p={p} q={q}", check
@@ -365,15 +372,17 @@ def _cmd_verify(args) -> int:
         return name, None if passed else ""
 
     def report(outcomes) -> int:
+        # one write per line, each as its check returns
+        write = sys.stdout.write
         passes = failures = 0
         for name, why in outcomes:
             if why is None:
-                print(f"PASS {name}")
+                write(f"PASS {name}\n")
                 passes += 1
             else:
-                print(f"FAIL {name}{why}")
+                write(f"FAIL {name}{why}\n")
                 failures += 1
-        print(f"verify: {passes} passed, {failures} failed")
+        write(f"verify: {passes} passed, {failures} failed\n")
         return 1 if failures else 0
 
     if args.threads > 1:

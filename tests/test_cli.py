@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import time
+from argparse import Namespace
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,7 @@ from rectchar.cli import (
     JM_CAP,
     ORACLE_WIDTH_CAP,
     TYPE_CAP,
+    _grid,
     main,
 )
 from rectchar.mn import normalized_character
@@ -427,6 +429,18 @@ def test_verify_case_list_is_pinned(capsys, argv, digest, summary):
     assert code == 0
     assert out.splitlines()[-1] == summary
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("pq_max", [1, 7, 12, 10000])
+def test_grid_is_built_once_rows_first_and_symmetric(pq_max):
+    grid = _grid(Namespace(pq_max=pq_max))
+    top = min(pq_max, GRID_CAP)
+    assert list(grid) == [(p, q) for p in range(1, top + 1)
+                          for q in range(1, top + 1) if p * q <= GRID_CAP]
+    assert all((q, p) in grid for p, q in grid)
+    assert all(shape == rectangle(p, q) for (p, q), shape in grid.items())
+    if pq_max > GRID_CAP:
+        assert grid == _grid(Namespace(pq_max=GRID_CAP))
 
 
 @pytest.mark.parametrize("suite, k_max", [("oracle-match", "1"),

@@ -257,12 +257,28 @@ def test_large_rectangles_cost_no_more_than_their_strips(cycle, p, q):
 
 def test_arguments_are_still_validated():
     # a Partition is read as it is; anything else goes through the checked
-    # constructor, with its errors
+    # constructor, with its errors, in all three entry points
     assert normalized_character((3,), [2, 2]) == -12
+    assert normalized_character((), ()) == 1
+    assert normalized_character((1, 1, 1), (2, 2)) == 24
+    assert normalized_character((5,), (2, 2)) == 0
+    assert normalized_character([2, 1], Partition((2, 1))) == 0
+    assert character_mn([2, 2], [3, 1]) == -1
+    assert character_mn([2, 2], [1, 1, 1, 1]) == 2
+    assert one_cycle_character([2, 2], 3) == -1
     with pytest.raises(ValueError, match="weakly decreasing"):
         normalized_character((2,), (2, 3))
     with pytest.raises(ValueError, match="positive"):
         normalized_character((2, 0), (2, 2))
+    for bad in ((2.0,), (True,), (2, 1.0), (2, False)):
+        with pytest.raises(TypeError, match="must be an int"):
+            normalized_character(bad, (2, 2))
+        with pytest.raises(TypeError, match="must be an int"):
+            normalized_character((2,), bad)
+        with pytest.raises(TypeError, match="must be an int"):
+            character_mn((2, 1), bad)
+        with pytest.raises(TypeError, match="must be an int"):
+            one_cycle_character(bad, 1)
 
 
 @st.composite

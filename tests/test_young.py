@@ -1,5 +1,6 @@
 """Tests for partitions and dimensions."""
 
+from enum import IntEnum
 from fractions import Fraction
 from math import factorial
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bruteforce import conjugate, hook_length_dim, syt_count
+from rectchar import exact
 from rectchar.young import (
     Partition,
     dim_f,
@@ -61,6 +63,25 @@ def test_rectangle():
                  (True, 3)):
         with pytest.raises(TypeError):
             rectangle(p, q)
+
+
+def test_rectangle_passes_int_subclass_sides_through_the_exactness_rule(
+        monkeypatch):
+    class Side(IntEnum):
+        TWO = 2
+        THREE = 3
+
+    checked = []
+
+    def integer(name, value):
+        checked.append(name)
+        return exact.integer(name, value)
+
+    monkeypatch.setattr("rectchar.young.integer", integer)
+    assert rectangle(2, 3).parts == (3, 3) and checked == []
+    assert rectangle(Side.TWO, 3).parts == (3, 3) and checked == ["p", "q"]
+    assert rectangle(2, Side.THREE).parts == (3, 3)
+    assert checked == ["p", "q", "p", "q"]
 
 
 @given(small_partitions)
