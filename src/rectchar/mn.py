@@ -30,14 +30,6 @@ reuses it.  normalized_character reads its value directly; character_mn
 and one_cycle_character take chi = Ch f^lam / n^(m) from the same
 recursion, with f^lam from the beta-numbers (young.dim_f) and
 n^(m) = n (n-1) ... (n-m+1).
-
-The three entry points convert their arguments by one rule: a Partition
-is read as it is, anything else goes through the checked constructor,
-and the unit parts of the cycle type are split off once, by slicing at
-its first 1.  normalized_character does this in one pass, with no helper
-calls, since verify's grid suites call it once per case; a cycle type
-with no part above 1 returns its falling factorial without entering the
-recursion.
 """
 
 from __future__ import annotations
@@ -146,6 +138,11 @@ def _ch(mask: int, parts: tuple[int, ...]) -> int:
     return quotient
 
 
+def _non_unit(cycles: tuple[int, ...]) -> tuple[int, ...]:
+    # the parts > 1 of a weakly decreasing tuple
+    return cycles[:cycles.index(1)] if 1 in cycles else cycles
+
+
 def _chi(shape: tuple[int, ...], parts: tuple[int, ...]) -> int:
     # chi at the parts > 1 completed with fixed points, which fit the shape:
     # Ch f / n^(m), one checked division
@@ -171,13 +168,12 @@ def character_mn(shape, cycle_type) -> int:
     >>> character_mn(Partition((2, 2)), Partition((3, 1)))
     -1
     """
-    lam = shape if type(shape) is Partition else Partition(shape)
-    mu = cycle_type if type(cycle_type) is Partition else Partition(cycle_type)
+    lam = Partition(shape)
+    mu = Partition(cycle_type)
     if lam.size != mu.size:
         raise SizeMismatch(f"shape {lam} has size {lam.size}, "
                            f"cycle type {mu} has size {mu.size}")
-    cycle = mu.parts
-    return _chi(lam.parts, cycle[:cycle.index(1)] if 1 in cycle else cycle)
+    return _chi(lam.parts, _non_unit(mu.parts))
 
 
 def one_cycle_character(shape, k: int) -> int:
@@ -186,7 +182,7 @@ def one_cycle_character(shape, k: int) -> int:
     >>> one_cycle_character(Partition((2, 2)), 3)
     -1
     """
-    lam = shape if type(shape) is Partition else Partition(shape)
+    lam = Partition(shape)
     if not 1 <= integer("k", k) <= lam.size:
         raise OutOfRange(f"cycle length {k} does not fit in a diagram of "
                          f"size {lam.size}")
@@ -206,12 +202,13 @@ def normalized_character(cycle, shape) -> int:
     >>> normalized_character(Partition((3,)), Partition((2, 2)))
     -12
     """
+    # a Partition as it is, anything else once validated
     shape = shape.parts if type(shape) is Partition else Partition(shape).parts
     cycle = cycle.parts if type(cycle) is Partition else Partition(cycle).parts
     n, k = sum(shape), sum(cycle)
     if n < k:
         return 0
-    parts = cycle[:cycle.index(1)] if 1 in cycle else cycle
+    parts = _non_unit(cycle)
     if not parts:
         return perm(n, k)
     m = sum(parts)

@@ -6,11 +6,10 @@ Fraction equal to one raises TypeError), positive, and no larger than the
 part before it.  All functions accept either a Partition or any iterable
 of parts.  rectangle and partitions, which build shapes themselves,
 validate their own inputs once and wrap the tuples they build, partitions
-by construction, without checking them again; rectangle reads two plain
-positive ints as they are and passes any other side through
-exact.integer.  f, the number of standard tableaux, comes from the hook
-lengths of the first column or row (beta-numbers), in
-O(min(rows, columns)^2) products rather than one per box.
+by construction, without checking them again.  f, the number of standard
+tableaux, comes from the hook lengths of the first column or row
+(beta-numbers), in O(min(rows, columns)^2) products rather than one per
+box.
 """
 
 from __future__ import annotations
@@ -104,8 +103,6 @@ def rectangle(p: int, q: int) -> Partition:
 
     Both sides must be ints (TypeError otherwise) and non-negative.
     """
-    if type(p) is int and type(q) is int and p > 0 and q > 0:
-        return _built((q,) * p)  # plain positive ints need no check
     if integer("p", p) < 0 or integer("q", q) < 0:
         raise ValueError("sides must be non-negative")
     if p == 0 or q == 0:

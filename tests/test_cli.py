@@ -432,7 +432,7 @@ def test_verify_case_list_is_pinned(capsys, argv, digest, summary):
 
 
 @pytest.mark.parametrize("pq_max", [1, 7, 12, 10000])
-def test_grid_is_built_once_rows_first_and_symmetric(pq_max):
+def test_grid_is_rows_first_symmetric_and_capped(pq_max):
     grid = _grid(Namespace(pq_max=pq_max))
     top = min(pq_max, GRID_CAP)
     assert list(grid) == [(p, q) for p in range(1, top + 1)

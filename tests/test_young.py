@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bruteforce import conjugate, hook_length_dim, syt_count
-from rectchar import exact
 from rectchar.young import (
     Partition,
     dim_f,
@@ -55,6 +54,9 @@ def test_rectangle():
     assert rectangle(2, 3).parts == (3, 3)
     assert rectangle(0, 5).parts == ()
     assert rectangle(5, 0).parts == ()
+    # an int subclass other than bool is an int side
+    Side = IntEnum("Side", {"TWO": 2, "THREE": 3})
+    assert rectangle(Side.TWO, Side.THREE).parts == (3, 3)
     for p, q in ((-1, 2), (2, -1)):
         with pytest.raises(ValueError):
             rectangle(p, q)
@@ -63,25 +65,6 @@ def test_rectangle():
                  (True, 3)):
         with pytest.raises(TypeError):
             rectangle(p, q)
-
-
-def test_rectangle_passes_int_subclass_sides_through_the_exactness_rule(
-        monkeypatch):
-    class Side(IntEnum):
-        TWO = 2
-        THREE = 3
-
-    checked = []
-
-    def integer(name, value):
-        checked.append(name)
-        return exact.integer(name, value)
-
-    monkeypatch.setattr("rectchar.young.integer", integer)
-    assert rectangle(2, 3).parts == (3, 3) and checked == []
-    assert rectangle(Side.TWO, 3).parts == (3, 3) and checked == ["p", "q"]
-    assert rectangle(2, Side.THREE).parts == (3, 3)
-    assert checked == ["p", "q", "p", "q"]
 
 
 @given(small_partitions)
