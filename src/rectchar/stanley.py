@@ -23,26 +23,23 @@ pair, at twice its weight.  f^lam comes from a hook-length formula on the
 same beta-sets, and each content product is one integer, a falling
 factorial per row taken at x = 2^B and read back as base-2^B digits
 (Kronecker substitution); both are cached per shape for the life of the
-process, so every type of the same size shares them.  Then one exact
-division by k!, with no k! term in the cost.
+process, so every type of the same size shares them.  No step costs k!.
 
 Most entries of the table are 0, and two bounds say which in advance.
 With |s| = k - cycles(s) the Cayley length, the triangle inequality
 |s1| + |s2| >= |w| >= | |s1| - |s2| | confines (c1, c2) to
 c1 + c2 <= k + l(pi) and |c1 - c2| <= k - l(pi), and
 sgn(s1) sgn(s2) = sgn(w) to c1 + c2 = k + l(pi) (mod 2).  The content sum
-takes those entries only (for 1^k just the diagonal), and the entries it
-finds must add up to the k! factorizations, so none can lie outside.  It
-is symmetric in x and y, so it fills c1 <= c2 and mirrors: the table's
-symmetry holds by construction, and verify's oracle-match is its
-independent check.  The dearest cold table under the CLI's cap of size
-24, 1^24, takes about 0.06-0.07 s, and 2^12, 3^6 2^3 and 5 4 4 3 2^4
-0.04-0.05 s (2-core host, Python 3.11.7).  The table is cached, once per
-cycle type, in a packed form that keeps just those entries, each row c1
-as every second c2 between its bounds, and values and polynomials read
-that form: at k = 7-9 that is 17-27 entries where the square table has
-64-100, and for every type of those sizes the packed entries are exactly
-the nonzero ones.
+takes those entries only (for 1^k just the diagonal), and they must add
+up to the k! factorizations, so none can lie outside.  One pass fills a
+packed form of them, each row c1 as every second c2 between its bounds
+(at k = 7-9, 17-27 entries where the square has 64-100, exactly the
+nonzero ones).  The sum is symmetric in x and y: an entry with c1 <= c2
+is summed and divided once by k!, and one with c2 < c1 read from row c2,
+already built, so no square is filled and the symmetry holds by
+construction (verify's oracle-match is the independent check).  Warm
+shapes make a table 35-100 us at k = 7-9; cold, 1^24 takes 0.06-0.07 s
+and 2^12, 3^6 2^3 and 5 4 4 3 2^4 0.04-0.05 s (2-core host, Python 3.11.7).
 
 The module also carries the change of variables to (D, E) coordinates,
 the leading E coefficient of an odd cycle read from it, the expansion in
@@ -163,9 +160,8 @@ def _shape(k: int, mask: int) -> tuple[int, tuple[int, ...]]:
     f^lam = k! / (product of those).
 
     The 1575 shapes of 1^24's column, 793 of them kept, take about 0.02 s
-    cold, against 0.09 s with every shape's product taken box by box; at
-    k = 7-9 they take 3-4 us a shape, against 6-9 us (2-core host,
-    Python 3.11.7).
+    cold (0.09 s box by box); a shape at k = 7-9 takes 3-4 us (6-9 us box
+    by box; 2-core host, Python 3.11.7).
     """
     conjugate = _conjugate_mask(k, mask)
     if conjugate < mask:
@@ -183,6 +179,7 @@ def _shape(k: int, mask: int) -> tuple[int, tuple[int, ...]]:
             _content_coeffs(k, rows[::-1]))
 
 
+@lru_cache(maxsize=None)
 def _spans(k: int, length: int) -> tuple[tuple[int, int, int], ...]:
     """(c1, first, last) for each c1: entry (c1, c2) of the joint table of a
     cycle type of k with length parts can be nonzero only for c2 = first,
@@ -210,13 +207,12 @@ def _joint_cycle_table(parts: tuple[int, ...]) -> tuple:
     first + 2 i in s2.  The rows are c1 = 1..k for a non-empty type.
 
     Built from the content identity in the module docstring, in integers,
-    one shape of each conjugate pair at the weight _shape gives it: each
-    entry (a, b) with a <= b that _spans admits is one C-level sum of
-    products over the kept shapes, mirrored to (b, a), then one checked
-    exact division by k!.  The k! factorizations are all counted once, so
-    entries that sum to k! leave none outside the spans.  A cold table of
-    size 24 takes about 0.04-0.07 s, about 1.35x less for each step down
-    in size: about 0.005 s at 16 (2-core host, Python 3.11.7).
+    one shape of each conjugate pair at the weight _shape gives it, in one
+    pass with no square: (a, b) with a <= b is one C-level sum of products
+    over the kept shapes and one checked exact division by k!, and (a, b)
+    with b < a is entry a of row b, already built.  Entries that sum to k!
+    leave none outside the spans.  With the shapes warm a table takes about
+    35-55, 60-80 and 65-100 us at k = 7, 8 and 9 (2-core host, Python 3.11.7).
     """
     k = sum(parts)
     spans = _spans(k, len(parts))
@@ -229,22 +225,26 @@ def _joint_cycle_table(parts: tuple[int, ...]) -> tuple:
     # cols[a]: coefficient a of each kept shape; with none kept, the sums
     # are 0 and the sum-to-k! check refuses the table
     cols = list(zip(*kept)) or [()] * (k + 1)
-    acc = [[0] * (k + 1) for _ in range(k + 1)]
+    order, total, table, floor = factorial(k), 0, [], spans[0][0]
     for a, first, last in spans:
-        weighted, row = list(map(mul, scales, cols[a])), acc[a]
-        for b in range(max(first, a + (a - first) % 2), last + 1, 2):
-            row[b] = acc[b][a] = sum(map(mul, weighted, cols[b]))
-    order = factorial(k)
-    rows = [(first, acc[c1][first:last + 1:2]) for c1, first, last in spans]
-    if any(entry % order for _, row in rows for entry in row):
-        raise ArithmeticError(
-            f"content sum for {parts} is not divisible by {k}!")
-    table = tuple((first, tuple(entry // order for entry in row))
-                  for first, row in rows)
-    if sum(sum(counts) for _, counts in table) != order:
+        counts = []
+        for start, row in table[first - floor:last + 1 - floor:2]:
+            counts.append(row[(a - start) // 2])
+        upper = cols[max(first, a + (a - first) % 2):last + 1:2]
+        if upper:
+            weighted = list(map(mul, scales, cols[a]))
+            for col in upper:
+                count, rest = divmod(sum(map(mul, weighted, col)), order)
+                if rest:
+                    raise ArithmeticError(
+                        f"content sum for {parts} is not divisible by {k}!")
+                counts.append(count)
+        total += sum(counts)
+        table.append((first, tuple(counts)))
+    if total != order:
         raise ArithmeticError(
             f"joint table of {parts} misses factorizations outside the spans")
-    return table
+    return tuple(table)
 
 
 def stanley_eval(pi, p, q):

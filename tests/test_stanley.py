@@ -266,6 +266,51 @@ def test_joint_table_symmetry():
                    for a in range(len(table)) for b in range(len(table))), pi
 
 
+def test_joint_table_mirror_holds_past_the_pin():
+    # the entries with c2 < c1 are read from rows already built; past the
+    # SHA-256 pin, the dense table must still equal its transpose
+    for k in (15, 16):
+        for pi in partitions(k):
+            table = dense_table(pi.parts)
+            assert table == [list(col) for col in zip(*table)], pi
+
+
+def test_fixed_points_multiply_the_table():
+    # T_{pi u 1^m}(x, y) = T_pi(x, y) prod_{i<m} (x y + |pi| + i), with T the
+    # generating polynomial sum of count x^c1 y^c2 of the dense table
+    for tau in _cycle_types(12):
+        units = tau.parts.count(1)
+        for m in range(1, units + 1):
+            parts = tau.parts[:len(tau.parts) - m]
+            want = dense_table(parts)
+            for i in range(m):
+                shift = sum(parts) + i
+                grown = [[shift * entry for entry in row] + [0]
+                         for row in want] + [[0] * (len(want) + 1)]
+                for a, row in enumerate(want):
+                    for b, entry in enumerate(row):
+                        grown[a + 1][b + 1] += entry
+                want = grown
+            assert dense_table(tau.parts) == want, (tau, m)
+
+
+def test_fixed_points_multiply_the_value():
+    # the same identity at the sides: x = -q, y = p and the k sign flips
+    # turn each factor x y + |pi| + i into p q - |pi| - i
+    points = ((2, 3), (5, 5), (-1, 4), (Fraction(1, 2), 3),
+              (Fraction(-7, 3), Fraction(5, 4)))
+    for pi in _cycle_types(9):
+        size = pi.size
+        for m in range(1, 13 - size):
+            grown = pi.parts + (1,) * m
+            for p, q in points:
+                factor = 1
+                for i in range(m):
+                    factor *= p * q - size - i
+                assert (stanley_eval(grown, p, q)
+                        == stanley_eval(pi, p, q) * factor), (pi, m, p, q)
+
+
 def test_joint_table_identity_is_diagonal():
     for k in range(1, 10):
         table = dense_table((1,) * k)
