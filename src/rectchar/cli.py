@@ -7,7 +7,9 @@ Evaluation methods
             capped at p + q <= 10000, the width of the bead mask.
   stanley   signed factorization sum over the Jucys-Murphy content table,
             its characters from one abacus sweep, no MN recursion, only
-            the entries that can be nonzero.
+            the entries that can be nonzero; the table is built for the
+            non-unit parts only, and the fixed points leave as one
+            falling factorial of pq.
   closed    product formulas; single cycles of length <= 3000 only.
 
 The oracle and stanley share one cap, TYPE_CAP: cycle types of size <= 24,

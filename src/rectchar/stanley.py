@@ -4,8 +4,13 @@ For a cycle type pi of k, fix any permutation w of that type.  Summing
 (-q)^cycles(s1) * p^cycles(s2) over all factorizations s1 s2 = w and
 applying k sign flips gives the normalized character of the p x q
 rectangle at pi.  The whole formula depends on nothing but the joint table
-of cycle counts, built once per cycle type, which then feeds numeric
-values and the exact polynomial alike.
+of cycle counts, which then feeds numeric values and the exact polynomial
+alike.  Fixed points leave before it: by the definition of the normalized
+character, Ch_{pi u 1^m}(p x q) = Ch_pi(p x q) times the falling factorial
+(pq - |pi|) (pq - |pi| - 1) ... (pq - |pi| - m + 1), so the evaluators
+build the table of the non-unit parts of pi only, once per such core, and
+multiply by that one factor; 1^n builds no table.  The table itself still
+takes any type, unit parts included.
 
 The table comes from the Jucys-Murphy content identity (Jucys 1974;
 Murphy 1981), not from the k! factorizations:
@@ -38,8 +43,10 @@ nonzero ones).  The sum is symmetric in x and y: an entry with c1 <= c2
 is summed and divided once by k!, and one with c2 < c1 read from row c2,
 already built, so no square is filled and the symmetry holds by
 construction (verify's oracle-match is the independent check).  Warm
-shapes make a table 35-100 us at k = 7-9; cold, 1^24 takes 0.06-0.07 s
-and 2^12, 3^6 2^3 and 5 4 4 3 2^4 0.04-0.05 s (2-core host, Python 3.11.7).
+shapes make a table 35-100 us at k = 7-9.  Cold, the dearest at size 24
+are cores with no unit part: 8 4 3^4, 6 5 5 4 2^2 and 7 4 3 2^5 take
+0.035-0.04 s, 2^12, 3^6 2^3 and 5 4 4 3 2^4 0.025-0.03 s (2-core host,
+Python 3.11.7).
 
 The module also carries the change of variables to (D, E) coordinates,
 the leading E coefficient of an odd cycle read from it, the expansion in
@@ -51,7 +58,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, perm
+from math import comb, factorial, perm, prod
 from operator import mul
 
 from ._poly import BiPoly, DEPoly, _collect
@@ -247,70 +254,124 @@ def _joint_cycle_table(parts: tuple[int, ...]) -> tuple:
     return tuple(table)
 
 
+def _split_units(pi) -> tuple[tuple[int, ...], int]:
+    """The non-unit parts of the cycle type pi, its core, and the number m
+    of its unit parts, pi validated and non-empty; the empty core has
+    value 1 and no table."""
+    parts = pi.parts if isinstance(pi, Partition) else Partition(pi).parts
+    if not parts:
+        raise ValueError("cycle type must be non-empty")
+    m = parts.count(1)
+    return parts[:len(parts) - m], m
+
+
+def _with_fixed_points(rows, k: int, length: int, m: int) -> tuple:
+    """The packed rows of the joint table of core u 1^m, from the rows of
+    the core, a type of k with length parts (no rows for the empty core).
+
+    Each unit part multiplies the table's generating polynomial by one
+    factor, T_{core u 1^m}(x, y) = T_core(x, y) prod_{i<m} (x y + k + i),
+    taken as one product of integers at x = 2^(B (n + 1)) and y = 2^B,
+    n = k + m (Kronecker substitution): an entry counts at most n!
+    factorizations, so each is one B-bit digit, and none is negative.
+    """
+    n = k + m
+    bits, width = factorial(n).bit_length(), n + 1
+    packed = 0 if rows else 1
+    for c1, (first, counts) in enumerate(rows, 1):
+        for j, count in enumerate(counts):
+            packed += count << bits * (c1 * width + first + 2 * j)
+    packed *= perm((1 << bits * (width + 1)) + n - 1, m)
+    low, table = (1 << bits) - 1, []
+    for c1, first, last in _spans(n, length + m):
+        row, counts = packed >> bits * (c1 * width + first), []
+        for _ in range(first, last + 1, 2):
+            counts.append(row & low)
+            row >>= 2 * bits
+        table.append((first, tuple(counts)))
+    return tuple(table)
+
+
 def stanley_eval(pi, p, q):
     """Normalized character of the p x q rectangle at the cycle type pi.
 
     p and q may be any ints or Fractions, not only positive integers; the
     value is the character polynomial evaluated there, an int when p and q
     are ints and a Fraction otherwise.  Any other type, a float or a bool
-    included, raises TypeError (rectchar.exact.rational).
+    included, raises TypeError (rectchar.exact.rational).  The value is
+    the core's times the falling factorial of pq - |core| of length m.
 
     >>> stanley_eval(Partition((2,)), 2, 3)
     6
     """
-    parts = pi.parts if isinstance(pi, Partition) else Partition(pi).parts
-    if not parts:
-        raise ValueError("cycle type must be non-empty")
+    core, m = _split_units(pi)
     int_sides = type(p) is int and type(q) is int
     if not int_sides:
         rational("p", p)
         rational("q", q)
-    rows = _joint_cycle_table(parts)
-    k = sum(parts)
-    # With p = a/b and -q = c/d, (b d)^k times the value is an integer: one
-    # homogeneous Horner pass over the packed rows, in c1 with (c, d)
-    # outside and in c2, two at a time, with (a^2, b^2) inside, then one
-    # division.  Row c1 holds a^first b^(k - last) times its inner sum.
-    # Int sides have b = d = 1, build no powers of them and no Fraction.
+    k = sum(core)
+    # With p = a/b and -q = c/d, (b d)^k times the core's value is an
+    # integer: one homogeneous Horner pass over the packed rows, in c1 with
+    # (c, d) outside and in c2, two at a time, with (a^2, b^2) inside.  Row
+    # c1 holds a^first b^(k - last) times its inner sum.  Each fixed point
+    # adds a factor -a c - (k + i) b d over b d, so one division by
+    # (b d)^|pi| ends the pass.  Int sides have b = d = 1, build no powers
+    # of them and no Fraction.
     if int_sides:
         a, c = p, -q
-        a2 = a * a
-        total = 0
-        for first, counts in reversed(rows):
-            inner = 0
-            for count in reversed(counts):
-                inner = inner * a2 + count
-            total = total * c + inner * a ** first
-        total *= c
-        return -total if k % 2 else total
+        total = 1
+        if core:
+            a2 = a * a
+            total = 0
+            for first, counts in reversed(_joint_cycle_table(core)):
+                inner = 0
+                for count in reversed(counts):
+                    inner = inner * a2 + count
+                total = total * c + inner * a ** first
+            total *= -c if k % 2 else c
+        if m:
+            x = p * q - k
+            total *= prod(range(x, x - m, -1))
+        return total
     a, b = p.numerator, p.denominator
     c, d = -q.numerator, q.denominator
-    a2, b2 = a * a, b * b
-    total, d_power = 0, 1
-    for first, counts in reversed(rows):
-        inner, b_power = 0, b ** (k + 2 - first - 2 * len(counts))
-        for count in reversed(counts):
-            inner = inner * a2 + count * b_power
-            b_power *= b2
-        total = total * c + inner * a ** first * d_power
-        d_power *= d
-    total *= c
-    return Fraction(-total if k % 2 else total, (b * d) ** k)
+    total = 1
+    if core:
+        a2, b2 = a * a, b * b
+        total, d_power = 0, 1
+        for first, counts in reversed(_joint_cycle_table(core)):
+            inner, b_power = 0, b ** (k + 2 - first - 2 * len(counts))
+            for count in reversed(counts):
+                inner = inner * a2 + count * b_power
+                b_power *= b2
+            total = total * c + inner * a ** first * d_power
+            d_power *= d
+        total *= -c if k % 2 else c
+    bd = b * d
+    if m:
+        x = -a * c - k * bd
+        total *= prod(range(x, x - m * bd, -bd))
+    return Fraction(total, bd ** (k + m))
 
 
 def stanley_poly(pi) -> BiPoly:
-    """The rectangle character at pi as an exact polynomial in P and Q.
+    """The rectangle character at pi as an exact polynomial in P and Q,
+    read from the joint cycle table of its core with its m unit parts
+    multiplied in (_with_fixed_points): after the sign flips, the core's
+    polynomial times prod_{i<m} (PQ - |core| - i).
 
     >>> print(stanley_poly(Partition((2,))))
     -1*P^2*Q + 1*P*Q^2
     """
-    parts = pi.parts if isinstance(pi, Partition) else Partition(pi).parts
-    if not parts:
-        raise ValueError("cycle type must be non-empty")
-    # the term P^c2 Q^c1 has the sign of (-1)^(k + c1)
-    sign = -1 if sum(parts) % 2 else 1
+    core, m = _split_units(pi)
+    k = sum(core)
+    rows = _joint_cycle_table(core) if core else ()
+    if m:
+        rows = _with_fixed_points(rows, k, len(core), m)
+    # the term P^c2 Q^c1 has the sign of (-1)^(|pi| + c1)
+    sign = -1 if (k + m) % 2 else 1
     terms = {}
-    for c1, (first, counts) in enumerate(_joint_cycle_table(parts), 1):
+    for c1, (first, counts) in enumerate(rows, 1):
         row_sign = -sign if c1 % 2 else sign
         for j, count in enumerate(counts):
             if count:

@@ -33,6 +33,7 @@ from rectchar.stanley import (
     _joint_cycle_table,
     _shape,
     _spans,
+    _with_fixed_points,
     BasisMismatch,
     decompose_even_basis,
     jm_factorization_check,
@@ -62,6 +63,15 @@ def dense_table(parts):
         assert start == first and len(counts) == (last - first) // 2 + 1
         table[c1][first:last + 1:2] = counts
     return table
+
+
+def table_poly(parts):
+    """The polynomial read off the unreduced joint cycle table of parts, with
+    no fixed point split off: count (-1)^(k + c1) P^c2 Q^c1 per entry."""
+    k = sum(parts)
+    return BiPoly({(c2, c1): -count if (k + c1) % 2 else count
+                   for c1, row in enumerate(dense_table(parts))
+                   for c2, count in enumerate(row) if count})
 
 
 def test_joint_table_matches_bruteforce():
@@ -296,7 +306,8 @@ def test_fixed_points_multiply_the_table():
 
 def test_fixed_points_multiply_the_value():
     # the same identity at the sides: x = -q, y = p and the k sign flips
-    # turn each factor x y + |pi| + i into p q - |pi| - i
+    # turn each factor x y + |pi| + i into p q - |pi| - i; the left side is
+    # the content sum of the whole type, which stanley_eval does not build
     points = ((2, 3), (5, 5), (-1, 4), (Fraction(1, 2), 3),
               (Fraction(-7, 3), Fraction(5, 4)))
     for pi in _cycle_types(9):
@@ -307,8 +318,41 @@ def test_fixed_points_multiply_the_value():
                 factor = 1
                 for i in range(m):
                     factor *= p * q - size - i
-                assert (stanley_eval(grown, p, q)
+                assert (table_poly(grown).evaluate(p, q)
                         == stanley_eval(pi, p, q) * factor), (pi, m, p, q)
+
+
+def test_poly_equals_the_unreduced_table():
+    # the core's table with its fixed points multiplied in, and the
+    # polynomial read from it, against the whole type's own table
+    for tau in _cycle_types(12):
+        units = tau.parts.count(1)
+        core = tau.parts[:len(tau.parts) - units]
+        if units:
+            rows = _joint_cycle_table(core) if core else ()
+            assert (_with_fixed_points(rows, sum(core), len(core), units)
+                    == _joint_cycle_table(tau.parts)), tau
+        assert stanley_poly(tau) == table_poly(tau.parts), tau
+
+
+def test_identity_class_is_the_falling_factorial_of_pq():
+    # 1^n has an empty core: its value is pq (pq - 1) ... (pq - n + 1), an
+    # int at int sides, and no table is built for it
+    _joint_cycle_table.cache_clear()
+    points = ((3, 4), (1, 5), (0, 7), (2, 0), (-3, 4), (-2, -5),
+              (Fraction(1, 2), 3), (Fraction(-7, 3), Fraction(5, 4)))
+    for n in range(1, 13):
+        parts = (1,) * n
+        for p, q in points:
+            want = 1
+            for i in range(n):
+                want *= p * q - i
+            value = stanley_eval(parts, p, q)
+            assert value == want, (n, p, q)
+            int_sides = type(p) is int and type(q) is int
+            assert type(value) is (int if int_sides else Fraction), (n, p, q)
+        assert stanley_poly(parts).evaluate(3, 4) == stanley_eval(parts, 3, 4)
+    assert _joint_cycle_table.cache_info().currsize == 0
 
 
 def test_joint_table_identity_is_diagonal():
@@ -348,7 +392,7 @@ def test_a_refused_side_builds_no_table():
     _joint_cycle_table.cache_clear()
     for p, q in ((0.5, 1), (1, 0.5), (True, 1)):
         with pytest.raises(TypeError):
-            stanley_eval((1,) * 16, p, q)
+            stanley_eval((2,) * 8, p, q)
     assert _joint_cycle_table.cache_info().currsize == 0
 
 
@@ -451,11 +495,13 @@ def test_single_cycles_up_to_the_cap_match_the_closed_route():
 
 
 def test_identity_class_of_sixteen_builds_fast_and_matches_oracle():
-    pi = Partition((1,) * 16)
+    # the content sum of 1^16 itself, which the evaluators no longer build
+    parts = (1,) * 16
     started = perf_counter()
-    poly = stanley_poly(pi)
+    _joint_cycle_table.__wrapped__(parts)
     assert perf_counter() - started < 1.0
-    assert poly.evaluate(4, 4) == normalized_character(pi, rectangle(4, 4))
+    assert (table_poly(parts).evaluate(4, 4)
+            == normalized_character(Partition(parts), rectangle(4, 4)))
 
 
 def test_transpose_sign_identity():
