@@ -21,10 +21,9 @@ verify's vanishing suite runs each method that accepts its input.
 poly --kind G|H|I|J is capped at |two_d| <= 120.  verify walks one grid,
 the p x q with both sides <= --pq-max and at most 60 boxes, each
 rectangle built once per suite, and runs each suite within caps of its
-own.  verify writes each case's line, in one write, as its check returns
-and, with --threads 1, holds one case at a time; --threads above 1 still
-submits every case to the pool up front.  README's "Caps and exit
-codes" gives every cap with its measured cost.
+own.  verify runs one case at a time and writes each case's line, in one
+write, as its check returns; --threads takes only 1, its one worker.
+README's "Caps and exit codes" gives every cap with its measured cost.
 
 Exit codes: 0 on success, 1 when a verification or cross-check fails, 2 on
 usage errors including cap violations.
@@ -387,12 +386,6 @@ def _cmd_verify(args) -> int:
         write(f"verify: {passes} passed, {failures} failed\n")
         return 1 if failures else 0
 
-    if args.threads > 1:
-        # imported here: concurrent.futures costs every CLI start ~8 ms;
-        # map submits every case up front and yields the outcomes in order
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            return report(pool.map(run, cases))
     # one case at a time, each line printed as its check returns
     return report(map(run, cases))
 
@@ -467,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
                           default=6)
     p_verify.add_argument("--j-max", dest="j_max", type=_positive_int,
                           default=4)
-    p_verify.add_argument("--threads", type=_positive_int, default=1)
+    p_verify.add_argument("--threads", type=int, choices=(1,), default=1)
     p_verify.set_defaults(func=_cmd_verify)
 
     p_bench = sub.add_parser("bench", help="time the methods against each other")

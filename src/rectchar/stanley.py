@@ -166,9 +166,9 @@ def _shape(k: int, mask: int) -> tuple[int, tuple[int, ...]]:
     is a row with a box for each gap y < x, of hook length x - y, so
     f^lam = k! / (product of those).
 
-    The 1575 shapes of 1^24's column, 793 of them kept, take about 0.02 s
-    cold (0.09 s box by box); a shape at k = 7-9 takes 3-4 us (6-9 us box
-    by box; 2-core host, Python 3.11.7).
+    The 1165 shapes of 2^12's column, 588 of them kept, take about 0.024 s
+    cold, about half of that type's cold table; a shape at k = 7-9 takes
+    3-4 us (6-9 us box by box; 2-core host, Python 3.11.7).
     """
     conjugate = _conjugate_mask(k, mask)
     if conjugate < mask:
@@ -265,33 +265,6 @@ def _split_units(pi) -> tuple[tuple[int, ...], int]:
     return parts[:len(parts) - m], m
 
 
-def _with_fixed_points(rows, k: int, length: int, m: int) -> tuple:
-    """The packed rows of the joint table of core u 1^m, from the rows of
-    the core, a type of k with length parts (no rows for the empty core).
-
-    Each unit part multiplies the table's generating polynomial by one
-    factor, T_{core u 1^m}(x, y) = T_core(x, y) prod_{i<m} (x y + k + i),
-    taken as one product of integers at x = 2^(B (n + 1)) and y = 2^B,
-    n = k + m (Kronecker substitution): an entry counts at most n!
-    factorizations, so each is one B-bit digit, and none is negative.
-    """
-    n = k + m
-    bits, width = factorial(n).bit_length(), n + 1
-    packed = 0 if rows else 1
-    for c1, (first, counts) in enumerate(rows, 1):
-        for j, count in enumerate(counts):
-            packed += count << bits * (c1 * width + first + 2 * j)
-    packed *= perm((1 << bits * (width + 1)) + n - 1, m)
-    low, table = (1 << bits) - 1, []
-    for c1, first, last in _spans(n, length + m):
-        row, counts = packed >> bits * (c1 * width + first), []
-        for _ in range(first, last + 1, 2):
-            counts.append(row & low)
-            row >>= 2 * bits
-        table.append((first, tuple(counts)))
-    return tuple(table)
-
-
 def stanley_eval(pi, p, q):
     """Normalized character of the p x q rectangle at the cycle type pi.
 
@@ -309,6 +282,8 @@ def stanley_eval(pi, p, q):
     if not int_sides:
         rational("p", p)
         rational("q", q)
+        # an int subclass other than bool is an int side
+        int_sides = not isinstance(p, Fraction) and not isinstance(q, Fraction)
     k = sum(core)
     # With p = a/b and -q = c/d, (b d)^k times the core's value is an
     # integer: one homogeneous Horner pass over the packed rows, in c1 with
@@ -356,9 +331,9 @@ def stanley_eval(pi, p, q):
 
 def stanley_poly(pi) -> BiPoly:
     """The rectangle character at pi as an exact polynomial in P and Q,
-    read from the joint cycle table of its core with its m unit parts
-    multiplied in (_with_fixed_points): after the sign flips, the core's
-    polynomial times prod_{i<m} (PQ - |core| - i).
+    read from the joint cycle table of its core: after the sign flips, the
+    core's polynomial times prod_{i<m} (PQ - |core| - i) for its m unit
+    parts, that product expanded once in N = PQ.
 
     >>> print(stanley_poly(Partition((2,))))
     -1*P^2*Q + 1*P*Q^2
@@ -366,16 +341,25 @@ def stanley_poly(pi) -> BiPoly:
     core, m = _split_units(pi)
     k = sum(core)
     rows = _joint_cycle_table(core) if core else ()
-    if m:
-        rows = _with_fixed_points(rows, k, len(core), m)
-    # the term P^c2 Q^c1 has the sign of (-1)^(|pi| + c1)
-    sign = -1 if (k + m) % 2 else 1
-    terms = {}
+    # the core's term P^c2 Q^c1 has the sign of (-1)^(|core| + c1); the
+    # empty core has no rows and is the constant 1
+    sign = -1 if k % 2 else 1
+    terms = {} if rows else {(0, 0): 1}
     for c1, (first, counts) in enumerate(rows, 1):
         row_sign = -sign if c1 % 2 else sign
         for j, count in enumerate(counts):
             if count:
                 terms[(first + 2 * j, c1)] = row_sign * count
+    if m:
+        # factor[e] is the coefficient of N^e in prod_{i<m} (N - k - i)
+        factor = [1]
+        for i in range(m):
+            root = k + i
+            factor = [low - root * high
+                      for low, high in zip([0] + factor, factor + [0])]
+        terms = _collect(((c2 + e, c1 + e), c * f)
+                         for (c2, c1), c in terms.items()
+                         for e, f in enumerate(factor))
     return BiPoly._of(terms)
 
 

@@ -2,6 +2,7 @@
 
 import ast
 import hashlib
+from enum import IntEnum
 from fractions import Fraction
 from math import factorial
 from pathlib import Path
@@ -33,7 +34,6 @@ from rectchar.stanley import (
     _joint_cycle_table,
     _shape,
     _spans,
-    _with_fixed_points,
     BasisMismatch,
     decompose_even_basis,
     jm_factorization_check,
@@ -323,16 +323,23 @@ def test_fixed_points_multiply_the_value():
 
 
 def test_poly_equals_the_unreduced_table():
-    # the core's table with its fixed points multiplied in, and the
-    # polynomial read from it, against the whole type's own table
-    for tau in _cycle_types(12):
-        units = tau.parts.count(1)
-        core = tau.parts[:len(tau.parts) - units]
-        if units:
-            rows = _joint_cycle_table(core) if core else ()
-            assert (_with_fixed_points(rows, sum(core), len(core), units)
-                    == _joint_cycle_table(tau.parts)), tau
+    # the core's polynomial with its fixed points multiplied in, against
+    # the whole type's own table, up to size 12 and at the type cap
+    at_cap = (Partition((2,) + (1,) * 22), Partition((3, 2) + (1,) * 19),
+              Partition((4,) + (1,) * 20))
+    for tau in (*_cycle_types(12), *at_cap):
         assert stanley_poly(tau) == table_poly(tau.parts), tau
+
+
+def test_poly_with_many_fixed_points_is_cheap():
+    # 200 fixed points multiply the core's few terms by one polynomial in
+    # PQ, with no table of the whole type
+    pi = (3, 2) + (1,) * 200
+    start = perf_counter()
+    poly = stanley_poly(pi)
+    assert perf_counter() - start < 1.0
+    for p, q in ((3, 70), (-2, 5), (Fraction(1, 3), Fraction(-5, 2))):
+        assert poly.evaluate(p, q) == stanley_eval(pi, p, q), (p, q)
 
 
 def test_identity_class_is_the_falling_factorial_of_pq():
@@ -420,9 +427,13 @@ def test_stanley_eval_accepts_exact_non_integers():
 
 
 def test_stanley_eval_is_an_int_exactly_at_int_sides():
+    # an int subclass other than bool is an int side
+    Side = IntEnum("Side", {"THREE": 3, "FOUR": 4})
     for pi in _cycle_types(6):
         at_ints = stanley_eval(pi, 3, 4)
         assert type(at_ints) is int
+        at_enums = stanley_eval(pi, Side.THREE, Side.FOUR)
+        assert type(at_enums) is int and at_enums == at_ints, pi
         for p, q in ((Fraction(3, 1), 4), (3, Fraction(4, 1)),
                      (Fraction(3), Fraction(4))):
             value = stanley_eval(pi, p, q)
