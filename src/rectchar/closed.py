@@ -36,9 +36,13 @@ term is added.  The term is 0 from t = |D| on, so the rest is the run of
 linear factors alone.  At t = |D| + 2 i each of them is 4 (lo - i)(hi + i),
 with lo the shorter side and hi the longer one, so ch_rect_fast takes the
 whole run as two falling factorials (math.perm, a product tree in C).
-Every step of the pass multiplies a long number by a short one, so a
-k-cycle costs min(k / 2, |q - p| / 2) such steps of about k digits (times
-the digits of the sides), plus the two falling factorials.
+Its pass has head = min(j, |D| / 2) steps, and step k divides by the odd
+number 1 + h + 2 k, so its common denominator c0 is the first
+min(head, j - 1) odd numbers from 1 + h: at head = j the last divisor,
+2j - 1 + h, cancels the numerator's first factor.  The final division is
+by c0 4^head, and with head = 0 there is none.  Every step multiplies a
+long number, of about k digits times the digits of the sides, by a short
+one, so a k-cycle costs head such steps plus two falling factorials.
 
 The module imports only the polynomial types and the exactness rule and
 Catalan numbers of rectchar.exact, nothing from the oracle or from
@@ -70,7 +74,7 @@ __all__ = [
 def _coeff(j: int, k: int, h: int) -> Fraction:
     # (-1)^k C(j, k) times the odd numbers from 2j - 1 + h up, k of them,
     # over those from 1 + h up to 2k - 1 + h
-    if integer("j", j) < 0 or integer("k", k) < 0:
+    if min(integer("j", j), integer("k", k)) < 0:
         raise ValueError("j and k must be non-negative")
     num = perm(j, k) * prod(range(2 * j - 1 + h, 2 * j - 1 + h + 2 * k, 2))
     den = factorial(k) * prod(range(1 + h, 2 * k + h, 2))
@@ -113,12 +117,13 @@ def closed_char_ed(k_cycle: int, e, d, diff_parity: str = "even"):
     >>> closed_char_ed(2, Fraction(5, 2), Fraction(1, 2), "odd")
     Fraction(6, 1)
     """
-    if integer("cycle length", k_cycle) < 1:
+    integer("cycle length", k_cycle)
+    e2 = Fraction(rational("e", e)) ** 2
+    d2 = Fraction(rational("d", d)) ** 2
+    if k_cycle < 1:
         raise ValueError("cycle length must be positive")
     if diff_parity not in ("even", "odd"):
         raise ValueError(f"bad difference parity {diff_parity!r}")
-    e2 = Fraction(rational("e", e)) ** 2
-    d2 = Fraction(rational("d", d)) ** 2
     # a (2j - 1)-cycle (h = 0) or a 2j-cycle (h = 2); the shifts are t / 2
     # for t = t0, t0 + 2, ...: integers from h / 2, or half-integers from 1/2
     j = (k_cycle + 1) // 2
@@ -193,13 +198,11 @@ def corollary_poly(two_d: int, cycle_parity: str) -> JNPoly:
 def ch_rect_fast(k_cycle: int, p: int, q: int) -> int:
     """Normalized character of the p x q rectangle on a k_cycle-cycle.
 
-    Evaluates the closed formula in the integer coordinates S = p + q and
-    D = q - p in one pass of min(k_cycle, |q - p|) / 2 steps, each
-    multiplying numbers of O(k_cycle log n) digits by short ones only, then
-    two falling factorials of the sides for the run of linear factors left,
-    and one checked exact division at the end.  A cycle of length
-    p + q or more is 0 at once: the largest hook of p x q has length
-    p + q - 1, so no rim hook of that length exists.  So is an even cycle
+    Evaluates the closed formula in S = p + q and D = q - p: a pass of
+    min(k_cycle, |q - p|) / 2 steps, each a long number times short ones,
+    two falling factorials of the sides for the linear factors left, and
+    one checked exact division when the pass is not empty.  A cycle longer
+    than the longest hook, p + q - 1, is 0 at once, and so is an even cycle
     on a square, whose prefactor holds q - p.
 
     >>> ch_rect_fast(3, 2, 2)
@@ -209,40 +212,39 @@ def ch_rect_fast(k_cycle: int, p: int, q: int) -> int:
     >>> ch_rect_fast(1, 1, 5)
     5
     """
-    if integer("cycle length", k_cycle) < 1:
+    if not (type(k_cycle) is type(p) is type(q) is int):
+        for name, x in (("cycle length", k_cycle), ("p", p), ("q", q)):
+            integer(name, x)
+    if k_cycle < 1:
         raise ValueError("cycle length must be positive")
-    if integer("p", p) < 1 or integer("q", q) < 1:
+    if p < 1 or q < 1:
         raise ValueError("rectangle sides must be positive")
     if k_cycle >= p + q:
         return 0
-    s2 = (p + q) ** 2
     lo, hi = (p, q) if p < q else (q, p)
     dd = q - p
-    d2 = dd * dd
-    # Four times each (e, d) factor of closed_char_ed: the shifts r or
-    # r +- 1/2 become the offsets t of the parity of D, from 1 for odd D,
-    # else from 0 (odd cycles) or 2 (even cycles).
-    # c_k below is (-1)^k C(j, k) times the odd numbers from 2k + 1 + h to
-    # 2j + 2k - 3 + h: the family coefficient times its common
-    # denominator c_0 = (2j - 3 + h)!!, with h = 2 for even cycles.
+    # Four times each (e, d) factor of closed_char_ed: offsets t of the
+    # parity of D, from 1 for odd D, else from h = 0 (odd cycles) or 2.
     j = (k_cycle + 1) // 2
     sign = -1 if j % 2 == 0 else 1
     if k_cycle % 2 == 0:
-        h = 2
-        pref, pref_den = sign * comb(2 * j - 1, j) * dd, 1
-    else:
-        h = 0
-        pref, pref_den = sign * comb(2 * j - 2, j - 1), j
+        h, pref = 2, sign * comb(2 * j - 1, j) * dd
+    else:  # comb(2j - 2, j - 1) / j, the Catalan number
+        h, pref = 0, sign * comb(2 * j - 2, j - 1) // j
     if pref == 0:  # an even cycle on a square: D = 0 in the prefactor
         return 0
-    c0 = prod(range(1 + h, 2 * j - 2 + h, 2))
-    # term: c_k times the factors D^2 - t^2 below t; total: the terms so
-    # far, each times the factors S^2 - t^2 from its own t up.  The term
-    # is 0 from t = |D| on, so the pass stops there after head steps.
     t0 = dd % 2 or h
     head = (hi - lo - t0) // 2
     if head > j:
         head = j
+    run = j - head
+    if not head:
+        return pref * perm(lo, run) * perm(hi + run - 1, run)
+    # term: c0 (-1)^k C(j, k) (2j - 1 + h) ... (2j + 2k - 3 + h) / ((1 + h)
+    # ... (2k - 1 + h)) times the factors D^2 - t^2 below t; total: the
+    # terms so far, each times the factors S^2 - t^2 from its own t up.
+    s2, d2 = (p + q) ** 2, dd * dd
+    c0 = prod(range(1 + h, 1 + h + 2 * min(head, j - 1), 2))
     up, down = 2 * j - 1 + h, 1 + h
     total = term = c0
     for k in range(head):
@@ -250,12 +252,9 @@ def ch_rect_fast(k_cycle: int, p: int, q: int) -> int:
         term = (term * ((t * t - d2) * (j - k) * (up + 2 * k))
                 // ((k + 1) * (down + 2 * k)))
         total = total * (s2 - t * t) + term
-    # The run of factors S^2 - t^2 left, at t = |D| + 2 i for i < run, is
-    # 4 (lo - i)(hi + i) each: two falling factorials of the sides.
-    run = j - head
     if run:
         total *= perm(lo, run) * perm(hi + run - 1, run)
-    num, den = pref * total, 4 ** head * c0 * pref_den
+    num, den = pref * total, c0 << 2 * head
     value, rem = divmod(num, den)
     if rem:
         raise ArithmeticError(f"non-integer character value {num}/{den}")
@@ -271,10 +270,11 @@ def minus_one_row_char(k: int, q):
     >>> minus_one_row_char(3, 4)
     -120
     """
-    if integer("k", k) < 1:
-        raise ValueError("cycle length must be positive")
+    integer("k", k)
     if not isinstance(q, BiPoly):
         rational("side", q)
+    if k < 1:
+        raise ValueError("cycle length must be positive")
     out = -1
     for i in range(k):
         out = out * (q + i)
@@ -307,9 +307,9 @@ def integrality_witness(d: int, k: int) -> Fraction:
     >>> integrality_witness(-5, 3)
     Fraction(35, 1)
     """
+    num = 2 * integer("d", d)
     if integer("k", k) < 0:
         raise ValueError("k must be non-negative")
-    num = 2 * integer("d", d)
     for r in range(-k + 1, k):
         num *= d + r
     return Fraction(num, factorial(2 * k))

@@ -103,7 +103,7 @@ def rectangle(p: int, q: int) -> Partition:
 
     Both sides must be ints (TypeError otherwise) and non-negative.
     """
-    if integer("p", p) < 0 or integer("q", q) < 0:
+    if min(integer("p", p), integer("q", q)) < 0:
         raise ValueError("sides must be non-negative")
     if p == 0 or q == 0:
         return Partition()
@@ -153,9 +153,10 @@ def partitions(n: int, max_part: "int | None" = None) -> Iterator[Partition]:
     >>> [p.parts for p in partitions(4, max_part=2)]
     [(2, 2), (2, 1, 1), (1, 1, 1, 1)]
     """
-    if integer("n", n) < 0:
-        raise ValueError("n must be non-negative")
+    integer("n", n)
     cap = n if max_part is None else min(integer("max_part", max_part), n)
+    if n < 0:
+        raise ValueError("n must be non-negative")
     for parts in _tuples(n, cap):
         yield _built(parts)
 

@@ -1,5 +1,7 @@
 """Tests for the closed product formulas and the family polynomials."""
 
+import hashlib
+import sys
 import time
 from fractions import Fraction
 from math import comb, perm
@@ -162,6 +164,31 @@ def test_ch_rect_fast_examples():
 def test_ch_rect_fast_rejects_non_int_arguments(args):
     with pytest.raises(TypeError):
         ch_rect_fast(*args)
+
+
+def _pin_grid():
+    # every head = min(j, |q - p| / 2) from 0 through j - 1 to j, even
+    # cycles with odd and even q - p, both ways round
+    for k in (*range(1, 121), 299, 300, 2999, 3000):
+        for side in (1, 2, 3, 7, 99, 10**6 + 3, 10**12):
+            for diff in sorted({0, 1, 2, k - 1, k, k + 1, k + 2, 2 * k}):
+                yield k, side, side + diff
+                if diff:
+                    yield k, side + diff, side
+
+
+def test_ch_rect_fast_values_are_pinned():
+    # SHA-256 of str of each value, one a line, in the order of _pin_grid,
+    # as ch_rect_fast stood before its denominator was sized to the head
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        text = "\n".join(str(ch_rect_fast(*case)) for case in _pin_grid())
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert text.count("\n") + 1 == 12908
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "564a44239310d507fccbb1cb360ed088a5b58f2b3cd7e6ba7b1bc4444d75bfef")
 
 
 _SIDES = (1, 2, 5, 9, 97, 98, 99, 100, 1000, 30000, 10**6 + 3, 10**12)

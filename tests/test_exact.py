@@ -148,6 +148,24 @@ def test_every_entry_point_follows_the_rule(call, valid, takes_fraction):
             call(Fraction(valid))
 
 
+@pytest.mark.parametrize("call", [
+    lambda: ch_rect_fast(0, 2.0, 2),
+    lambda: ch_rect_fast(2, 0, 2.0),
+    lambda: rectangle(-1, 2.0),
+    lambda: list(partitions(-1, 2.0)),
+    lambda: closed_char_ed(0, 2.0, 0),
+    lambda: coeff_f(-1, 2.0),
+    lambda: minus_one_row_char(0, 2.0),
+    lambda: integrality_witness(2.0, -1),
+], ids=["ch_rect_fast p", "ch_rect_fast q", "rectangle", "partitions",
+        "closed_char_ed", "coeff_f", "minus_one_row_char",
+        "integrality_witness"])
+def test_types_are_checked_before_values(call):
+    # an argument out of range beside a float: the float is reported
+    with pytest.raises(TypeError):
+        call()
+
+
 def test_the_cases_that_leaked_inexact_values():
     with pytest.raises(TypeError):
         minus_one_row_char(3, 0.1)
