@@ -40,9 +40,9 @@ Its pass has head = min(j, |D| / 2) steps, and step k divides by the odd
 number 1 + h + 2 k, so its common denominator c0 is the first
 min(head, j - 1) odd numbers from 1 + h: at head = j the last divisor,
 2j - 1 + h, cancels the numerator's first factor.  The final division is
-by c0 4^head, and with head = 0 there is none.  Every step multiplies a
-long number, of about k digits times the digits of the sides, by a short
-one, so a k-cycle costs head such steps plus two falling factorials.
+by c0 4^head.  Every step multiplies a long number, of about k digits
+times the digits of the sides, by a short one, so a k-cycle costs head
+such steps plus two falling factorials.
 
 The module imports only the polynomial types and the exactness rule and
 Catalan numbers of rectchar.exact, nothing from the oracle or from
@@ -201,9 +201,9 @@ def ch_rect_fast(k_cycle: int, p: int, q: int) -> int:
     Evaluates the closed formula in S = p + q and D = q - p: a pass of
     min(k_cycle, |q - p|) / 2 steps, each a long number times short ones,
     two falling factorials of the sides for the linear factors left, and
-    one checked exact division when the pass is not empty.  A cycle longer
-    than the longest hook, p + q - 1, is 0 at once, and so is an even cycle
-    on a square, whose prefactor holds q - p.
+    one checked exact division.  A cycle longer than the longest hook,
+    p + q - 1, is 0 at once, and so is an even cycle on a square, whose
+    prefactor holds q - p.
 
     >>> ch_rect_fast(3, 2, 2)
     -12
@@ -212,9 +212,9 @@ def ch_rect_fast(k_cycle: int, p: int, q: int) -> int:
     >>> ch_rect_fast(1, 1, 5)
     5
     """
-    if not (type(k_cycle) is type(p) is type(q) is int):
-        for name, x in (("cycle length", k_cycle), ("p", p), ("q", q)):
-            integer(name, x)
+    integer("cycle length", k_cycle)
+    integer("p", p)
+    integer("q", q)
     if k_cycle < 1:
         raise ValueError("cycle length must be positive")
     if p < 1 or q < 1:
@@ -238,8 +238,6 @@ def ch_rect_fast(k_cycle: int, p: int, q: int) -> int:
     if head > j:
         head = j
     run = j - head
-    if not head:
-        return pref * perm(lo, run) * perm(hi + run - 1, run)
     # term: c0 (-1)^k C(j, k) (2j - 1 + h) ... (2j + 2k - 3 + h) / ((1 + h)
     # ... (2k - 1 + h)) times the factors D^2 - t^2 below t; total: the
     # terms so far, each times the factors S^2 - t^2 from its own t up.

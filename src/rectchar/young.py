@@ -47,9 +47,11 @@ class Partition:
             self.parts = parts.parts
             return
         pt = tuple(parts)
+        for x in pt:
+            integer("a part", x)
         previous = None
         for x in pt:
-            if integer("a part", x) <= 0:
+            if x <= 0:
                 raise ValueError(f"parts must be positive, got {pt}")
             if previous is not None and x > previous:
                 raise ValueError(f"parts must be weakly decreasing, got {pt}")

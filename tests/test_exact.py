@@ -157,9 +157,11 @@ def test_every_entry_point_follows_the_rule(call, valid, takes_fraction):
     lambda: coeff_f(-1, 2.0),
     lambda: minus_one_row_char(0, 2.0),
     lambda: integrality_witness(2.0, -1),
+    lambda: Partition((0, 2.0)),
+    lambda: dim_f((0, 2.0)),
 ], ids=["ch_rect_fast p", "ch_rect_fast q", "rectangle", "partitions",
         "closed_char_ed", "coeff_f", "minus_one_row_char",
-        "integrality_witness"])
+        "integrality_witness", "Partition", "dim_f"])
 def test_types_are_checked_before_values(call):
     # an argument out of range beside a float: the float is reported
     with pytest.raises(TypeError):
