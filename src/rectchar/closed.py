@@ -242,7 +242,7 @@ def ch_rect_fast(k_cycle: int, p: int, q: int) -> int:
     # ... (2k - 1 + h)) times the factors D^2 - t^2 below t; total: the
     # terms so far, each times the factors S^2 - t^2 from its own t up.
     s2, d2 = (p + q) ** 2, dd * dd
-    c0 = prod(range(1 + h, 1 + h + 2 * min(head, j - 1), 2))
+    c0 = prod(range(1 + h, 1 + h + 2 * (head if head < j else j - 1), 2))
     up, down = 2 * j - 1 + h, 1 + h
     total = term = c0
     for k in range(head):
