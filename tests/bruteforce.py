@@ -5,7 +5,7 @@ corner removal or by the hook of every box, content products multiplied
 out box by box, border strips found by filtering all sub-partitions,
 characters by stripping those border strips, Stirling numbers by the
 textbook recurrence, factorizations of a permutation by trying all k! of
-them.  The point is that none of it shares code or ideas with the library
+them, the Jucys-Murphy product as a dict of image tuples.  The point is that none of it shares code or ideas with the library
 implementations it checks.  The one exception is column_largest_first, the
 library's abacus sweep with the parts in the opposite order, the reference
 that shows the order of the strips does not change the column.
@@ -174,6 +174,28 @@ def factorization_table(w) -> list[list[int]]:
         s2_inverse = [inverse[x] for x in s1]
         table[_cycle_count(s1)][_cycle_count(s2_inverse)] += 1
     return table
+
+
+def jm_product(k: int) -> dict[tuple[int, ...], int]:
+    """(1 + J_1)(1 + J_2) ... (1 + J_k) in the integer group ring of S_k.
+
+    An element is a dict from image tuples to coefficients, and
+    J_i = (1,i) + ... + (i-1,i); sigma (a, i) is sigma's image tuple with
+    positions a and i swapped.
+    """
+    product = {tuple(range(k)): 1}
+    for i in range(1, k):
+        step: dict[tuple[int, ...], int] = {}
+        for sigma, c in product.items():
+            step[sigma] = step.get(sigma, 0) + c
+            images = list(sigma)
+            for a in range(i):
+                images[a], images[i] = images[i], images[a]
+                swapped = tuple(images)
+                step[swapped] = step.get(swapped, 0) + c
+                images[a], images[i] = images[i], images[a]
+        product = step
+    return product
 
 
 @lru_cache(maxsize=None)

@@ -4,6 +4,7 @@ import ast
 import hashlib
 from enum import IntEnum
 from fractions import Fraction
+from itertools import permutations
 from math import factorial
 from pathlib import Path
 from time import perf_counter
@@ -22,6 +23,7 @@ from bruteforce import (
     cycle_type_representative,
     factorization_table,
     hook_length_dim,
+    jm_product,
     stirling_first_unsigned,
 )
 from rectchar._poly import BiPoly, DEPoly
@@ -609,6 +611,14 @@ def test_jm_factorization():
         assert jm_factorization_check(k), k
     with pytest.raises(ValueError):
         jm_factorization_check(0)
+
+
+def test_jm_factorization_agrees_with_the_image_tuple_product():
+    for k in range(1, 7):
+        product = jm_product(k)
+        assert product.keys() == set(permutations(range(k))), k
+        assert set(product.values()) == {1}, k
+        assert jm_factorization_check(k), k
 
 
 def test_jm_factorization_past_the_verify_cap_stays_cheap():
