@@ -444,11 +444,11 @@ def jm_factorization_check(k: int) -> bool:
     rearrangement of range(k), and inversion is a bijection of S_k, so the
     product is the sum of S_k, every coefficient 1, exactly when the list
     holds k! words and they are distinct.  A word is k bytes, so k <= 256,
-    and memory grows as k! * k.  The first call in a fresh process takes
-    about 1.3 ms at k = 7, 0.01 s at k = 8 and 0.12-0.13 s at k = 9, which
-    peaks at 58 MB RSS against 15 MB for a bare import (2-core host, Python
-    3.11.7).  Bytes are not tracked by the garbage collector, so the words
-    start no collections.
+    and memory grows as k! * k: the first call in a fresh process takes
+    0.6-1.3 ms at k = 7, 6.5-10 ms at k = 8 and 0.11-0.14 s at k = 9, and
+    the process peaks at 15, 19 and 64 MB RSS, against 15 MB for a bare
+    import (2-core host, Python 3.11.7).  Bytes are not tracked by the
+    garbage collector, so the words start no collections.
 
     >>> jm_factorization_check(3)
     True
@@ -462,7 +462,8 @@ def jm_factorization_check(k: int) -> bool:
             table = bytes.maketrans(bytes((a, i)), bytes((i, a)))
             step += [word.translate(table) for word in words]
         words = step
-    return len(set(words)) == len(words) == factorial(k)
+    # a dict's table is a third of a set's at k = 7, where verify stops
+    return len(dict.fromkeys(words)) == len(words) == factorial(k)
 
 
 if __name__ == "__main__":
