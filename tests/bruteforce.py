@@ -5,10 +5,11 @@ corner removal or by the hook of every box, content products multiplied
 out box by box, border strips found by filtering all sub-partitions,
 characters by stripping those border strips, Stirling numbers by the
 textbook recurrence, factorizations of a permutation by trying all k! of
-them, the Jucys-Murphy product as a dict of image tuples.  The point is that none of it shares code or ideas with the library
-implementations it checks.  The one exception is column_largest_first, the
-library's abacus sweep with the parts in the opposite order, the reference
-that shows the order of the strips does not change the column.
+them, the Jucys-Murphy product as a dict of image tuples.  The point is
+that none of it shares code or ideas with the library implementations it
+checks.  The one exception is column_largest_first, the library's abacus
+sweep with the parts in the opposite order, the reference that shows the
+order of the strips does not change the column.
 """
 
 from __future__ import annotations
