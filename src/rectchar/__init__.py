@@ -20,13 +20,7 @@ from .closed import (
     minus_one_row_char,
 )
 from .exact import catalan
-from .mn import (
-    OutOfRange,
-    SizeMismatch,
-    character_mn,
-    normalized_character,
-    one_cycle_character,
-)
+from .mn import normalized_character
 from ._poly import BiPoly, DEPoly, JNPoly
 from .stanley import (
     BasisMismatch,
@@ -39,7 +33,6 @@ from .stanley import (
 )
 from .young import (
     Partition,
-    dim_f,
     partitions,
     rectangle,
 )
@@ -51,25 +44,20 @@ __all__ = [
     "BiPoly",
     "DEPoly",
     "JNPoly",
-    "OutOfRange",
     "Partition",
-    "SizeMismatch",
     "catalan",
     "ch_rect_fast",
-    "character_mn",
     "closed_char_ed",
     "coeff_f",
     "coeff_g",
     "corollary_poly",
     "decompose_even_basis",
-    "dim_f",
     "integrality_witness",
     "jm_factorization_check",
     "leading_square_coeff",
     "minus_one_col_char",
     "minus_one_row_char",
     "normalized_character",
-    "one_cycle_character",
     "partitions",
     "rectangle",
     "stanley_eval",

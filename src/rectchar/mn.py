@@ -1,4 +1,4 @@
-"""Murnaghan-Nakayama character evaluation and the normalized character.
+"""The normalized character by the Murnaghan-Nakayama recursion.
 
 There is one recursion, and it computes the normalized character
 Ch_pi(lam) = n (n-1) ... (n-k+1) chi^lam(pi) / f^lam directly, for a shape
@@ -26,10 +26,7 @@ with the shape.
 The recursion is memoized for the life of the process on (beta-set,
 remaining non-unit parts), so a later call that meets a subproblem an
 earlier one solved, such as the same rectangle at the same cycle type,
-reuses it.  normalized_character reads its value directly; character_mn
-and one_cycle_character take chi = Ch f^lam / n^(m) from the same
-recursion, with f^lam from the beta-numbers (young.dim_f) and
-n^(m) = n (n-1) ... (n-m+1).
+reuses it.
 """
 
 from __future__ import annotations
@@ -37,24 +34,9 @@ from __future__ import annotations
 from functools import lru_cache
 from math import perm
 
-from .exact import integer
-from .young import Partition, _dim_from_parts
+from .young import Partition
 
-__all__ = [
-    "SizeMismatch",
-    "OutOfRange",
-    "character_mn",
-    "one_cycle_character",
-    "normalized_character",
-]
-
-
-class SizeMismatch(ValueError):
-    """Shape and cycle type do not partition the same number."""
-
-
-class OutOfRange(ValueError):
-    """Requested cycle length does not fit inside the diagram."""
+__all__ = ["normalized_character"]
 
 
 def _beads(parts: tuple[int, ...]) -> int:
@@ -141,52 +123,6 @@ def _ch(mask: int, parts: tuple[int, ...]) -> int:
 def _non_unit(cycles: tuple[int, ...]) -> tuple[int, ...]:
     # the parts > 1 of a weakly decreasing tuple
     return cycles[:cycles.index(1)] if 1 in cycles else cycles
-
-
-def _chi(shape: tuple[int, ...], parts: tuple[int, ...]) -> int:
-    # chi at the parts > 1 completed with fixed points, which fit the shape:
-    # Ch f / n^(m), one checked division
-    if not parts:
-        return _dim_from_parts(shape)
-    num = _ch(_beads(shape), parts) * _dim_from_parts(shape)
-    den = perm(sum(shape), sum(parts))
-    value, rem = divmod(num, den)
-    if rem:
-        raise ArithmeticError(f"non-integer character {num}/{den}")
-    return value
-
-
-def character_mn(shape, cycle_type) -> int:
-    """Irreducible character of the shape, evaluated at the cycle type.
-
-    One bead move per part greater than 1, largest part first, with the
-    normalized values memoized across calls on the remaining beta-set and
-    parts; chi is that value times f over a falling factorial of n.  The
-    recursion costs nothing per fixed point and does not grow with n; only
-    f and the final division see the size of the shape.
-
-    >>> character_mn(Partition((2, 2)), Partition((3, 1)))
-    -1
-    """
-    lam = Partition(shape)
-    mu = Partition(cycle_type)
-    if lam.size != mu.size:
-        raise SizeMismatch(f"shape {lam} has size {lam.size}, "
-                           f"cycle type {mu} has size {mu.size}")
-    return _chi(lam.parts, _non_unit(mu.parts))
-
-
-def one_cycle_character(shape, k: int) -> int:
-    """Character at one k-cycle plus fixpoints.
-
-    >>> one_cycle_character(Partition((2, 2)), 3)
-    -1
-    """
-    lam = Partition(shape)
-    if not 1 <= integer("k", k) <= lam.size:
-        raise OutOfRange(f"cycle length {k} does not fit in a diagram of "
-                         f"size {lam.size}")
-    return _chi(lam.parts, (k,) if k > 1 else ())
 
 
 def normalized_character(cycle, shape) -> int:

@@ -443,18 +443,21 @@ def jm_factorization_check(k: int) -> bool:
     the list.  The list ends with prod (i + 1) = k! words, each a
     rearrangement of range(k), and inversion is a bijection of S_k, so the
     product is the sum of S_k, every coefficient 1, exactly when the list
-    holds k! words and they are distinct.  A word is k bytes, so k <= 256,
-    and memory grows as k! * k: the first call in a fresh process takes
-    0.6-1.3 ms at k = 7, 6.5-10 ms at k = 8 and 0.11-0.14 s at k = 9, and
-    the process peaks at 15, 19 and 64 MB RSS, against 15 MB for a bare
-    import (2-core host, Python 3.11.7).  Bytes are not tracked by the
-    garbage collector, so the words start no collections.
+    holds k! words and they are distinct.  Memory grows as k! * k: the
+    first call in a fresh process takes 0.6-1.3 ms at k = 7, 6.5-10 ms at
+    k = 8 and 0.11-0.14 s at k = 9, and the process peaks at 15, 19 and
+    64 MB RSS, against 15 MB for a bare import (2-core host, Python
+    3.11.7).  k > 9 raises ValueError before anything is built.  Bytes are
+    not tracked by the garbage collector, so the words start no collections.
 
     >>> jm_factorization_check(3)
     True
     """
     if integer("k", k) < 1:
         raise ValueError("k must be positive")
+    if k > 9:
+        raise ValueError(f"k = {k} is above the cap of 9: the check holds "
+                         "k! words of about 135 bytes, 0.5 GB at k = 10")
     words = [bytes(range(k))]
     for i in range(1, k):
         step = words.copy()

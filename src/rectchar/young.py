@@ -1,4 +1,4 @@
-"""Partitions, rectangles and dimensions.
+"""Partitions and rectangles.
 
 Partitions are immutable, hashable, and validated on construction: every
 part must be an int by the rule of rectchar.exact (a float, bool or
@@ -6,24 +6,18 @@ Fraction equal to one raises TypeError), positive, and no larger than the
 part before it.  All functions accept either a Partition or any iterable
 of parts.  rectangle and partitions, which build shapes themselves,
 validate their own inputs once and wrap the tuples they build, partitions
-by construction, without checking them again.  f, the number of standard
-tableaux, comes from the hook lengths of the first column or row
-(beta-numbers), in O(min(rows, columns)^2) products rather than one per
-box.
+by construction, without checking them again.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from functools import lru_cache
-from math import factorial
 
 from .exact import integer
 
 __all__ = [
     "Partition",
     "rectangle",
-    "dim_f",
     "partitions",
 ]
 
@@ -110,43 +104,6 @@ def rectangle(p: int, q: int) -> Partition:
     if p == 0 or q == 0:
         return Partition()
     return _built((q,) * p)
-
-
-def dim_f(shape) -> int:
-    """Number of standard Young tableaux of the shape.
-
-    With beta_i = lam_i + l - i the hook lengths of the first column (rows
-    i = 1..l), f = n! prod_{i<j} (beta_i - beta_j) / prod_i beta_i!
-    (Frobenius); a shape with more rows than columns takes the hook
-    lengths of its first row instead, those of its transpose's first
-    column, so the cost is the square of the shorter side.  The division
-    happens once at the end so every intermediate stays integral.
-
-    >>> dim_f(Partition((2, 2)))
-    2
-    """
-    return _dim_from_parts(Partition(shape).parts)
-
-
-@lru_cache(maxsize=None)
-def _dim_from_parts(parts: tuple[int, ...]) -> int:
-    if not parts:
-        return 1
-    rows = len(parts)
-    top = parts[0] + rows - 1
-    betas = [row + rows - 1 - i for i, row in enumerate(parts)]
-    if rows > parts[0]:
-        # fewer columns than rows: the first-row hook lengths, top minus
-        # each number in 0..top that is not a first-column one, serve as
-        # the beta-numbers of the transpose, which has the same f
-        present = set(betas)
-        betas = [top - x for x in range(top + 1) if x not in present]
-    num, den = factorial(sum(parts)), 1
-    for i, beta in enumerate(betas):
-        den *= factorial(beta)
-        for lower in betas[i + 1:]:
-            num *= beta - lower
-    return num // den
 
 
 def partitions(n: int, max_part: "int | None" = None) -> Iterator[Partition]:

@@ -13,20 +13,17 @@ from rectchar import (
     DEPoly,
     Partition,
     ch_rect_fast,
-    character_mn,
     closed_char_ed,
     coeff_f,
     coeff_g,
     corollary_poly,
     decompose_even_basis,
-    dim_f,
     integrality_witness,
     jm_factorization_check,
     leading_square_coeff,
     minus_one_col_char,
     minus_one_row_char,
     normalized_character,
-    one_cycle_character,
     partitions,
     rectangle,
     stanley_eval,
@@ -78,15 +75,10 @@ RULE = [
     ("rectangle q", lambda x: rectangle(3, x), 2, False),
     ("partitions n", lambda x: list(partitions(x)), 4, False),
     ("partitions max_part", lambda x: list(partitions(4, x)), 2, False),
-    ("dim_f part", lambda x: dim_f((x, 1)), 2, False),
-    ("character_mn shape part",
-     lambda x: character_mn((x, 2), (3, 1)), 2, False),
-    ("character_mn cycle part",
-     lambda x: character_mn((2, 2), (3, x)), 1, False),
     ("normalized_character cycle part",
      lambda x: normalized_character((x,), (2, 2)), 3, False),
-    ("one_cycle_character k", lambda x: one_cycle_character((2, 2), x),
-     2, False),
+    ("normalized_character shape part",
+     lambda x: normalized_character((3, 1), (x, 2)), 2, False),
     ("stanley_eval cycle part", lambda x: stanley_eval((x,), 2, 3), 2, False),
     ("stanley_eval p", lambda x: stanley_eval((2,), x, 3), 2, True),
     ("stanley_eval q", lambda x: stanley_eval((2,), 2, x), 3, True),
@@ -158,10 +150,9 @@ def test_every_entry_point_follows_the_rule(call, valid, takes_fraction):
     lambda: minus_one_row_char(0, 2.0),
     lambda: integrality_witness(2.0, -1),
     lambda: Partition((0, 2.0)),
-    lambda: dim_f((0, 2.0)),
 ], ids=["ch_rect_fast p", "ch_rect_fast q", "rectangle", "partitions",
         "closed_char_ed", "coeff_f", "minus_one_row_char",
-        "integrality_witness", "Partition", "dim_f"])
+        "integrality_witness", "Partition"])
 def test_types_are_checked_before_values(call):
     # an argument out of range beside a float: the float is reported
     with pytest.raises(TypeError):
@@ -175,8 +166,6 @@ def test_the_cases_that_leaked_inexact_values():
         stanley_eval((2,), True, 3)
     with pytest.raises(TypeError):
         integrality_witness(Fraction(5, 2), 3)
-    with pytest.raises(TypeError):
-        one_cycle_character((2, 2), Fraction(2))
     with pytest.raises(TypeError):
         _corollary_after_a_cached_one(True)
     # the polynomial types took these as they were

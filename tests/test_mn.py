@@ -16,16 +16,12 @@ from bruteforce import (
 )
 from rectchar.closed import ch_rect_fast
 from rectchar.mn import (
-    OutOfRange,
-    SizeMismatch,
     _beads,
     _ch,
     _hook_ratio,
     _movable,
     _runs,
-    character_mn,
     normalized_character,
-    one_cycle_character,
 )
 from rectchar.stanley import stanley_eval
 from rectchar.young import Partition, partitions, rectangle
@@ -42,37 +38,40 @@ S4_TABLE = {
 }
 
 
+def _from_chi(chi, shape, k):
+    # Ch_mu(lam) = n (n-1) ... (n-k+1) chi^lam(mu) / f^lam, mu of k
+    # completed with fixed points, f counted by brute force
+    return Fraction(perm(sum(shape), k) * chi, syt_count(shape))
+
+
 def test_s4_character_table():
     for shape, row in S4_TABLE.items():
-        got = [character_mn(Partition(shape), Partition(mu))
-               for mu in S4_CLASSES]
-        assert got == row, shape
+        got = [normalized_character(mu, shape) for mu in S4_CLASSES]
+        assert got == [_from_chi(chi, shape, 4) for chi in row], shape
 
 
 def test_character_examples():
-    assert character_mn(Partition((2, 2)), Partition((3, 1))) == -1
-    assert character_mn(Partition((1, 1)), Partition((2,))) == -1
-    assert character_mn(Partition(()), Partition(())) == 1
-
-
-def test_size_mismatch():
-    with pytest.raises(SizeMismatch):
-        character_mn(Partition((2, 2)), Partition((3,)))
+    assert normalized_character((3, 1), (2, 2)) == _from_chi(-1, (2, 2), 4)
+    assert normalized_character((2,), (1, 1)) == _from_chi(-1, (1, 1), 2)
+    assert normalized_character((), ()) == _from_chi(1, (), 0)
 
 
 def test_identity_class_gives_dimension():
+    # chi at 1^n is f, so Ch there is n!
     for n in range(11):
         ones = Partition((1,) * n)
         for lam in partitions(n):
-            assert character_mn(lam, ones) == syt_count(lam.parts)
+            assert (normalized_character(ones, lam)
+                    == _from_chi(syt_count(lam.parts), lam.parts, n)), lam
 
 
 def test_character_table_matches_bruteforce():
     for n in range(9):
         for lam in partitions(n):
             for mu in partitions(n):
-                assert (character_mn(lam, mu)
-                        == character_bruteforce(lam.parts, mu.parts)), (lam, mu)
+                chi = character_bruteforce(lam.parts, mu.parts)
+                assert (normalized_character(mu, lam)
+                        == _from_chi(chi, lam.parts, n)), (lam, mu)
 
 
 def test_rectangles_match_bruteforce():
@@ -83,40 +82,37 @@ def test_rectangles_match_bruteforce():
                 for pi in partitions(k):
                     mu = pi.parts + (1,) * (n - k)
                     chi = character_bruteforce((q,) * p, mu)
-                    assert character_mn(rectangle(p, q), mu) == chi, (pi, p, q)
+                    assert (normalized_character(mu, rectangle(p, q))
+                            == _from_chi(chi, (q,) * p, n)), (pi, p, q)
                     assert (normalized_character(pi, rectangle(p, q))
-                            == Fraction(perm(n, k) * chi,
-                                        syt_count((q,) * p))), (pi, p, q)
+                            == _from_chi(chi, (q,) * p, k)), (pi, p, q)
 
 
 def test_conjugate_shape_sign():
+    # chi at the conjugate is chi times the sign of mu, and f is the same
     for n in range(8):
         for lam in partitions(n):
             for mu in partitions(n):
                 sign = -1 if (n - mu.length) % 2 else 1
-                assert (character_mn(conjugate(lam.parts), mu)
-                        == sign * character_mn(lam, mu)), (lam, mu)
+                assert (normalized_character(mu, conjugate(lam.parts))
+                        == sign * normalized_character(mu, lam)), (lam, mu)
 
 
 def test_one_cycle_matches_full_recursion():
+    # the fixed-point rule Ch_(pi, 1^m) = (n - |pi|)_m Ch_pi, the falling
+    # factorial (n - k)! at pi = (k) and m = n - k
     for n in range(1, 10):
         for lam in partitions(n):
             for k in range(1, n + 1):
-                mu = Partition((k,) + (1,) * (n - k))
-                assert one_cycle_character(lam, k) == character_mn(lam, mu)
-
-
-def test_one_cycle_out_of_range():
-    with pytest.raises(OutOfRange):
-        one_cycle_character(Partition((2, 2)), 5)
-    with pytest.raises(OutOfRange):
-        one_cycle_character(Partition((2, 2)), 0)
+                full = (k,) + (1,) * (n - k)
+                assert (normalized_character(full, lam)
+                        == factorial(n - k) * normalized_character((k,), lam))
 
 
 def test_one_cycle_cancellation():
     # the two 3-hook removals from the 2 x 5 rectangle have equal dimension
     # and opposite sign
-    assert one_cycle_character(Partition((5, 5)), 3) == 0
+    assert normalized_character((3,), (5, 5)) == 0
 
 
 def test_normalized_examples():
@@ -257,15 +253,15 @@ def test_large_rectangles_cost_no_more_than_their_strips(cycle, p, q):
 
 def test_arguments_are_still_validated():
     # a Partition is read as it is; anything else goes through the checked
-    # constructor, with its errors, in all three entry points
+    # constructor, with its errors, for the cycle and the shape alike
     assert normalized_character((3,), [2, 2]) == -12
     assert normalized_character((), ()) == 1
     assert normalized_character((1, 1, 1), (2, 2)) == 24
     assert normalized_character((5,), (2, 2)) == 0
     assert normalized_character([2, 1], Partition((2, 1))) == 0
-    assert character_mn([2, 2], [3, 1]) == -1
-    assert character_mn([2, 2], [1, 1, 1, 1]) == 2
-    assert one_cycle_character([2, 2], 3) == -1
+    assert normalized_character([3, 1], [2, 2]) == -12
+    assert normalized_character([1, 1, 1, 1], [2, 2]) == 24
+    assert normalized_character([3], [2, 2]) == -12
     with pytest.raises(ValueError, match="weakly decreasing"):
         normalized_character((2,), (2, 3))
     with pytest.raises(ValueError, match="positive"):
@@ -275,10 +271,6 @@ def test_arguments_are_still_validated():
             normalized_character(bad, (2, 2))
         with pytest.raises(TypeError, match="must be an int"):
             normalized_character((2,), bad)
-        with pytest.raises(TypeError, match="must be an int"):
-            character_mn((2, 1), bad)
-        with pytest.raises(TypeError, match="must be an int"):
-            one_cycle_character(bad, 1)
 
 
 @st.composite

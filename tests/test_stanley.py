@@ -133,12 +133,13 @@ def _package_imports(module):
 
 
 def test_table_shares_no_code_with_the_oracle():
-    # no route module imports another: stanley takes nothing from mn, and
-    # from young only the validated Partition; mn takes nothing from
+    # no route module imports another: stanley and mn take from young only
+    # the validated Partition, stanley nothing from mn, mn nothing from
     # stanley or closed; closed takes nothing from mn, stanley or young
     imported = _package_imports(rectchar.stanley)
     assert "mn" not in imported and "mn" not in imported.get("", set())
     assert imported["young"] == {"Partition"}
+    assert _package_imports(rectchar.mn)["young"] == {"Partition"}
     for module, others in ((rectchar.mn, ("stanley", "closed")),
                            (rectchar.closed, ("mn", "stanley", "young"))):
         imported = _package_imports(module)
@@ -625,3 +626,13 @@ def test_jm_factorization_past_the_verify_cap_stays_cheap():
     started = perf_counter()
     assert jm_factorization_check(8)
     assert perf_counter() - started < 1.0
+
+
+def test_jm_factorization_refuses_large_k_before_it_builds():
+    # k! words: 0.5 GB at k = 10; at 257 bytes(range(k)) would fail on its
+    # own terms
+    for k in (10, 257):
+        started = perf_counter()
+        with pytest.raises(ValueError, match="above the cap of 9"):
+            jm_factorization_check(k)
+        assert perf_counter() - started < 0.1

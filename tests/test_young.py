@@ -1,16 +1,14 @@
-"""Tests for partitions and dimensions."""
+"""Tests for partitions and rectangles."""
 
 from enum import IntEnum
 from fractions import Fraction
-from math import factorial
 
 import pytest
 from hypothesis import given, strategies as st
 
-from bruteforce import conjugate, hook_length_dim, syt_count
+from bruteforce import conjugate
 from rectchar.young import (
     Partition,
-    dim_f,
     partitions,
     rectangle,
 )
@@ -71,36 +69,6 @@ def test_rectangle():
 def test_transpose_involution(lam):
     assert conjugate(conjugate(lam.parts)) == lam.parts
     assert sum(conjugate(lam.parts)) == lam.size
-
-
-def test_dim_examples():
-    assert dim_f(Partition(())) == 1
-    assert dim_f(Partition((5,))) == 1
-    assert dim_f(Partition((2, 1))) == 2
-    assert dim_f(Partition((2, 2))) == 2
-    assert dim_f(rectangle(2, 5)) == 42
-
-
-def test_dim_matches_bruteforce_counting():
-    for n in range(7):
-        for lam in partitions(n):
-            assert dim_f(lam) == syt_count(lam.parts), lam
-
-
-def test_dim_from_beta_numbers_matches_the_hook_length_formula():
-    for n in range(13):
-        for lam in partitions(n):
-            assert dim_f(lam) == hook_length_dim(lam.parts), lam
-
-
-def test_dim_squares_sum_to_factorial():
-    for n in range(9):
-        assert sum(dim_f(lam) ** 2 for lam in partitions(n)) == factorial(n)
-
-
-@given(small_partitions)
-def test_dim_transpose_symmetry(lam):
-    assert dim_f(lam) == dim_f(conjugate(lam.parts))
 
 
 def test_partitions_enumeration():
