@@ -79,6 +79,14 @@ RULE = [
      lambda x: normalized_character((x,), (2, 2)), 3, False),
     ("normalized_character shape part",
      lambda x: normalized_character((3, 1), (x, 2)), 2, False),
+    ("normalized_character second cycle part",
+     lambda x: normalized_character((3, x), (2, 2)), 1, False),
+    ("normalized_character second shape part",
+     lambda x: normalized_character((3, 1), (2, x)), 2, False),
+    # criterion 4's one-cycle call: both arguments already Partitions
+    ("normalized_character one-cycle k",
+     lambda x: normalized_character(Partition((x,)), rectangle(2, 2)),
+     2, False),
     ("stanley_eval cycle part", lambda x: stanley_eval((x,), 2, 3), 2, False),
     ("stanley_eval p", lambda x: stanley_eval((2,), x, 3), 2, True),
     ("stanley_eval q", lambda x: stanley_eval((2,), 2, x), 3, True),
@@ -150,9 +158,10 @@ def test_every_entry_point_follows_the_rule(call, valid, takes_fraction):
     lambda: minus_one_row_char(0, 2.0),
     lambda: integrality_witness(2.0, -1),
     lambda: Partition((0, 2.0)),
+    lambda: normalized_character((3,), (0, 2.0)),
 ], ids=["ch_rect_fast p", "ch_rect_fast q", "rectangle", "partitions",
         "closed_char_ed", "coeff_f", "minus_one_row_char",
-        "integrality_witness", "Partition"])
+        "integrality_witness", "Partition", "normalized_character"])
 def test_types_are_checked_before_values(call):
     # an argument out of range beside a float: the float is reported
     with pytest.raises(TypeError):
