@@ -13,7 +13,6 @@ from .closed import (
     ch_rect_fast,
     closed_char_ed,
     coeff_f,
-    coeff_g,
     corollary_poly,
     integrality_witness,
     minus_one_col_char,
@@ -23,7 +22,6 @@ from .exact import catalan
 from .mn import normalized_character
 from ._poly import BiPoly, DEPoly, JNPoly
 from .stanley import (
-    BasisMismatch,
     decompose_even_basis,
     jm_factorization_check,
     leading_square_coeff,
@@ -40,7 +38,6 @@ from .young import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BasisMismatch",
     "BiPoly",
     "DEPoly",
     "JNPoly",
@@ -49,7 +46,6 @@ __all__ = [
     "ch_rect_fast",
     "closed_char_ed",
     "coeff_f",
-    "coeff_g",
     "corollary_poly",
     "decompose_even_basis",
     "integrality_witness",

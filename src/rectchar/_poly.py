@@ -78,9 +78,6 @@ class _Poly2:
     def coefficient(self, i: int, j: int) -> "int | Fraction":
         return self._terms.get((i, j), 0)
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def __bool__(self) -> bool:
         return bool(self._terms)
 
@@ -222,9 +219,6 @@ class DEPoly(_Poly2):
     def is_even_in_d(self) -> bool:
         return all(i % 2 == 0 for (i, _) in self._terms)
 
-    def is_odd_in_d(self) -> bool:
-        return all(i % 2 == 1 for (i, _) in self._terms)
-
 
 class JNPoly(_Poly2):
     """Polynomial in J (half-cycle index) and N (box count).
@@ -235,10 +229,6 @@ class JNPoly(_Poly2):
     """
 
     VARS = ("J", "N")
-
-    def weighted_degree(self) -> int:
-        """Largest value of j_exp + 2 n_exp; -1 for the zero polynomial."""
-        return max((i + 2 * j for (i, j) in self._terms), default=-1)
 
     def _sort_key(self, key):
         i, j = key
@@ -252,8 +242,3 @@ class JNPoly(_Poly2):
         if coeff == -1:
             return f"-{mono}"
         return f"{coeff}*{mono}"
-
-
-if __name__ == "__main__":
-    import doctest
-    doctest.testmod()

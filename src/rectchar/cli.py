@@ -357,37 +357,26 @@ _SUITES = tuple(_SUITE_BUILDERS)
 
 def _cmd_verify(args) -> int:
     selected = _SUITES if args.suite == "all" else (args.suite,)
-    cases = (case for name in selected for case in _SUITE_BUILDERS[name](args))
-
-    def run(case) -> tuple[str, str | None]:
-        # the case name, and None for a pass, else what follows the name on
-        # its FAIL line; a check passes with a true value and may fail with
-        # a string that shows the values that disagreed
-        name, check = case
-        try:
-            passed = check()
-        except Exception as exc:
-            return name, f": {type(exc).__name__}: {exc}"
-        if isinstance(passed, str):
-            return name, f": {passed}"
-        return name, None if passed else ""
-
-    def report(outcomes) -> int:
-        # one write per line, each as its check returns
-        write = sys.stdout.write
-        passes = failures = 0
-        for name, why in outcomes:
-            if why is None:
+    write = sys.stdout.write
+    passes = failures = 0
+    # one case at a time, its line written once as its check returns; a
+    # check passes with a true value and may fail with a string that shows
+    # the values that disagreed
+    for suite in selected:
+        for name, check in _SUITE_BUILDERS[suite](args):
+            try:
+                passed = check()
+            except Exception as exc:
+                passed = f"{type(exc).__name__}: {exc}"
+            if passed and not isinstance(passed, str):
                 write(f"PASS {name}\n")
                 passes += 1
             else:
-                write(f"FAIL {name}{why}\n")
+                write(f"FAIL {name}: {passed}\n" if isinstance(passed, str)
+                      else f"FAIL {name}\n")
                 failures += 1
-        write(f"verify: {passes} passed, {failures} failed\n")
-        return 1 if failures else 0
-
-    # one case at a time, each line printed as its check returns
-    return report(map(run, cases))
+    write(f"verify: {passes} passed, {failures} failed\n")
+    return 1 if failures else 0
 
 
 # bench ------------------------------------------------------------------------

@@ -61,7 +61,6 @@ from .exact import catalan, integer, rational
 
 __all__ = [
     "coeff_f",
-    "coeff_g",
     "closed_char_ed",
     "corollary_poly",
     "ch_rect_fast",
@@ -90,17 +89,6 @@ def coeff_f(j: int, k: int) -> Fraction:
     Fraction(1, 1)
     """
     return _coeff(j, k, 0)
-
-
-def coeff_g(j: int, k: int) -> Fraction:
-    """Interior coefficient for the even-cycle families I and J.
-
-    >>> coeff_g(1, 1)
-    Fraction(-1, 1)
-    >>> coeff_g(3, 4)
-    Fraction(0, 1)
-    """
-    return _coeff(j, k, 2)
 
 
 def closed_char_ed(k_cycle: int, e, d, diff_parity: str = "even"):
@@ -311,8 +299,3 @@ def integrality_witness(d: int, k: int) -> Fraction:
     for r in range(-k + 1, k):
         num *= d + r
     return Fraction(num, factorial(2 * k))
-
-
-if __name__ == "__main__":
-    import doctest
-    doctest.testmod()

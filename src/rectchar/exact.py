@@ -65,8 +65,3 @@ def catalan(m: int) -> int:
     if integer("m", m) < 0:
         raise ValueError("m must be non-negative")
     return comb(2 * m, m) // (m + 1)
-
-
-if __name__ == "__main__":
-    import doctest
-    doctest.testmod()

@@ -149,8 +149,3 @@ def normalized_character(cycle, shape) -> int:
         return perm(n, k)
     m = sum(parts)
     return perm(n - m, k - m) * _ch(_beads(shape), parts)
-
-
-if __name__ == "__main__":
-    import doctest
-    doctest.testmod()

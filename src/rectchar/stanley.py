@@ -66,9 +66,6 @@ from .exact import integer, rational
 from .young import Partition
 
 __all__ = [
-    "BiPoly",
-    "DEPoly",
-    "BasisMismatch",
     "stanley_eval",
     "stanley_poly",
     "substitute_ed",
@@ -76,10 +73,6 @@ __all__ = [
     "decompose_even_basis",
     "jm_factorization_check",
 ]
-
-
-class BasisMismatch(ValueError):
-    """The polynomial does not fit the requested even basis."""
 
 
 def _column(k: int, parts: tuple[int, ...]) -> dict[int, int]:
@@ -366,9 +359,14 @@ def stanley_poly(pi) -> BiPoly:
 def substitute_ed(poly: BiPoly) -> DEPoly:
     """Substitute P = E - D and Q = E + D, exactly.
 
+    poly must be a BiPoly; anything else, a DEPoly included, raises
+    TypeError.
+
     >>> print(substitute_ed(BiPoly({(1, 1): 1})))
     -1*D^2 + 1*E^2
     """
+    if not isinstance(poly, BiPoly):
+        raise TypeError(f"poly must be a BiPoly, got {type(poly).__name__}")
     return DEPoly._of(_collect(_ed_terms(poly.terms())))
 
 
@@ -401,20 +399,23 @@ def leading_square_coeff(j: int) -> int:
 def decompose_even_basis(poly: DEPoly, j: int) -> list[DEPoly]:
     """Coefficients of poly in the basis prod_{r=0}^{k-1} (D^2 - r^2).
 
-    The input must be even in D with D-degree at most 2j.  Entry k of the
-    result multiplies the k-th basis product; each entry is a polynomial
-    in E alone, returned as a DEPoly with no D exponents.
+    poly must be a DEPoly (TypeError otherwise) that is even in D with
+    D-degree at most 2j (ValueError otherwise).  Entry k of the result
+    multiplies the k-th basis product; each entry is a polynomial in E
+    alone, returned as a DEPoly with no D exponents.
 
     >>> parts = decompose_even_basis(DEPoly({(0, 2): 1, (2, 0): -1}), 1)
     >>> [str(f) for f in parts]
     ['1*E^2', '-1']
     """
+    if not isinstance(poly, DEPoly):
+        raise TypeError(f"poly must be a DEPoly, got {type(poly).__name__}")
     if integer("j", j) < 1:
         raise ValueError("j must be positive")
     if not poly.is_even_in_d():
-        raise BasisMismatch("polynomial is not even in D")
+        raise ValueError("polynomial is not even in D")
     if poly.d_degree() > 2 * j:
-        raise BasisMismatch(
+        raise ValueError(
             f"D-degree {poly.d_degree()} exceeds the basis bound {2 * j}")
     # basis[k] = prod_{r<k} (D^2 - r^2); entry k is the D^(2k) row of what
     # is left once the entries above it are taken out
@@ -467,8 +468,3 @@ def jm_factorization_check(k: int) -> bool:
         words = step
     # a dict's table is a third of a set's at k = 7, where verify stops
     return len(dict.fromkeys(words)) == len(words) == factorial(k)
-
-
-if __name__ == "__main__":
-    import doctest
-    doctest.testmod()

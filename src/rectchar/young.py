@@ -106,17 +106,15 @@ def rectangle(p: int, q: int) -> Partition:
     return _built((q,) * p)
 
 
-def partitions(n: int, max_part: "int | None" = None) -> Iterator[Partition]:
+def partitions(n: int) -> Iterator[Partition]:
     """Yield every partition of n, in reverse lexicographic order.
 
-    >>> [p.parts for p in partitions(4, max_part=2)]
-    [(2, 2), (2, 1, 1), (1, 1, 1, 1)]
+    >>> [p.parts for p in partitions(4)]
+    [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
     """
-    integer("n", n)
-    cap = n if max_part is None else min(integer("max_part", max_part), n)
-    if n < 0:
+    if integer("n", n) < 0:
         raise ValueError("n must be non-negative")
-    for parts in _tuples(n, cap):
+    for parts in _tuples(n, n):
         yield _built(parts)
 
 
@@ -128,8 +126,3 @@ def _tuples(n: int, cap: int) -> Iterator[tuple[int, ...]]:
     for first in range(min(cap, n), 0, -1):
         for rest in _tuples(n - first, first):
             yield (first,) + rest
-
-
-if __name__ == "__main__":
-    import doctest
-    doctest.testmod()

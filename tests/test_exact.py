@@ -15,7 +15,6 @@ from rectchar import (
     ch_rect_fast,
     closed_char_ed,
     coeff_f,
-    coeff_g,
     corollary_poly,
     decompose_even_basis,
     integrality_witness,
@@ -74,7 +73,6 @@ RULE = [
     ("rectangle p", lambda x: rectangle(x, 3), 2, False),
     ("rectangle q", lambda x: rectangle(3, x), 2, False),
     ("partitions n", lambda x: list(partitions(x)), 4, False),
-    ("partitions max_part", lambda x: list(partitions(4, x)), 2, False),
     ("normalized_character cycle part",
      lambda x: normalized_character((x,), (2, 2)), 3, False),
     ("normalized_character shape part",
@@ -107,8 +105,6 @@ RULE = [
     ("corollary_poly two_d", _corollary_after_a_cached_one, 1, False),
     ("coeff_f j", lambda x: coeff_f(x, 1), 2, False),
     ("coeff_f k", lambda x: coeff_f(2, x), 1, False),
-    ("coeff_g j", lambda x: coeff_g(x, 1), 2, False),
-    ("coeff_g k", lambda x: coeff_g(2, x), 1, False),
     ("minus_one_row_char k", lambda x: minus_one_row_char(x, 4), 3, False),
     ("minus_one_row_char side", lambda x: minus_one_row_char(3, x), 4, True),
     ("minus_one_col_char k", lambda x: minus_one_col_char(x, 4), 2, False),
@@ -152,7 +148,7 @@ def test_every_entry_point_follows_the_rule(call, valid, takes_fraction):
     lambda: ch_rect_fast(0, 2.0, 2),
     lambda: ch_rect_fast(2, 0, 2.0),
     lambda: rectangle(-1, 2.0),
-    lambda: list(partitions(-1, 2.0)),
+    lambda: list(partitions(-2.0)),
     lambda: closed_char_ed(0, 2.0, 0),
     lambda: coeff_f(-1, 2.0),
     lambda: minus_one_row_char(0, 2.0),

@@ -74,8 +74,6 @@ def test_transpose_involution(lam):
 def test_partitions_enumeration():
     assert [lam.parts for lam in partitions(4)] == [
         (4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
-    assert [lam.parts for lam in partitions(4, max_part=2)] == [
-        (2, 2), (2, 1, 1), (1, 1, 1, 1)]
     assert [lam.parts for lam in partitions(0)] == [()]
     counts = [sum(1 for _ in partitions(n)) for n in range(11)]
     assert counts == [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
