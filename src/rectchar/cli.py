@@ -18,11 +18,12 @@ _refusal states each method's caps once: eval refuses an input past them,
 bench refuses a cycle past the closed cap and leaves the oracle and
 stanley out past theirs, poly --kind stanley takes the type cap, and
 verify's vanishing suite runs each method that accepts its input.
-poly --kind G|H|I|J is capped at |two_d| <= 120.  verify walks one grid,
-the p x q with both sides <= --pq-max and at most 60 boxes, each
-rectangle built once per suite, and runs each suite within caps of its
-own.  verify runs one case at a time and writes each case's line, in one
-write, as its check returns; --threads takes only 1, its one worker.
+poly --kind G|H|I|J is capped at |two_d| <= 120, and poly refuses the
+flag that its kind does not read.  verify walks one grid, the p x q with
+both sides <= --pq-max and at most 60 boxes, each rectangle built once
+per suite, and runs each suite within caps of its own.  verify runs one
+case at a time and writes each case's line, in one write, as its check
+returns; --threads takes only 1, its one worker.
 README's "Caps and exit codes" gives every cap with its measured cost.
 
 Exit codes: 0 on success, 1 when a verification or cross-check fails, 2 on
@@ -165,6 +166,10 @@ def _cmd_eval(args) -> int:
 
 def _cmd_poly(args) -> int:
     if args.kind == "stanley":
+        if args.two_d is not None:
+            print("poly: --two-d does not apply to kind stanley",
+                  file=sys.stderr)
+            return 2
         if args.cycle is None:
             print("poly: --cycle is required for kind stanley", file=sys.stderr)
             return 2
@@ -175,6 +180,10 @@ def _cmd_poly(args) -> int:
             return 2
         print(stanley_poly(args.cycle))
         return 0
+    if args.cycle is not None:
+        print(f"poly: --cycle does not apply to kind {args.kind}",
+              file=sys.stderr)
+        return 2
     if args.two_d is None:
         print(f"poly: --two-d is required for kind {args.kind}",
               file=sys.stderr)
@@ -435,9 +444,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_poly.add_argument("--kind", choices=("stanley", "G", "H", "I", "J"),
                         required=True)
     p_poly.add_argument("--cycle", type=_cycle_type,
-                        help="cycle type for kind stanley")
+                        help="cycle type; kind stanley only")
     p_poly.add_argument("--two-d", dest="two_d", type=int,
-                        help="twice the half-difference d for G/H/I/J")
+                        help="twice the half-difference d; G/H/I/J only")
     p_poly.set_defaults(func=_cmd_poly)
 
     p_verify = sub.add_parser("verify", help="run identity cross-checks")

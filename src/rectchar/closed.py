@@ -16,17 +16,10 @@ exposed symbolically by corollary_poly.  It builds all four families with
 one integer loop in D = q - p: the factors are 4 n + D^2 - t^2 and
 D^2 - t^2 over the offsets t of the parity of D below |D|, the family
 coefficients are integer polynomials in j over one common denominator, and
-a single checked exact division ends the sum.  closed_char_ed carries the
-same sum in the (e, d) coordinates without splitting off the linear run,
-which is the form that matches Stanley's polynomial after the substitution
-P = E - D, Q = E + D.  It is one loop for all four cases: with j the
-ceiling of half the cycle length and h = 0 for odd cycles, 2 for even
-ones, twice its shifts run t0, t0 + 2, ..., with t0 = 1 for diff_parity
-"odd" (q - p odd), else h; the prefactor is the signed catalan number, or
-2 d C(2j - 1, j) for even cycles.  It works in Fraction arithmetic, shares
-no code with the two integer evaluators and serves as their reference.
-ch_rect_fast evaluates that sum for all four cases at once in the integers
-S = 2 e and D = 2 d, and one checked exact division ends it.
+a single checked exact division ends the sum.  ch_rect_fast evaluates the
+sum for all four cases at once in the integers S = p + q and D = q - p,
+also ending in one checked exact division.  Their reference,
+closed_char_ed, is Kerov's transition measure, which shares no formula.
 
 Both integer evaluators run one pass up the offsets t below |D|.  It
 keeps a term, the family coefficient times the factors D^2 - t^2 below t,
@@ -44,10 +37,9 @@ by c0 4^head.  Every step multiplies a long number, of about k digits
 times the digits of the sides, by a short one, so a k-cycle costs head
 such steps plus two falling factorials.
 
-The module imports only the polynomial types and the exactness rule and
-Catalan numbers of rectchar.exact, nothing from the oracle or from
-Stanley's route, so the three routes stay independent in code and can
-check one another.
+The module imports only the polynomial types and the exactness rule of
+rectchar.exact, nothing from the oracle or from Stanley's route, so the
+three routes stay independent in code and can check one another.
 """
 
 from __future__ import annotations
@@ -57,7 +49,7 @@ from itertools import zip_longest
 from math import comb, factorial, perm, prod
 
 from ._poly import BiPoly, JNPoly
-from .exact import catalan, integer, rational
+from .exact import integer, rational
 
 __all__ = [
     "coeff_f",
@@ -70,16 +62,6 @@ __all__ = [
 ]
 
 
-def _coeff(j: int, k: int, h: int) -> Fraction:
-    # (-1)^k C(j, k) times the odd numbers from 2j - 1 + h up, k of them,
-    # over those from 1 + h up to 2k - 1 + h
-    if min(integer("j", j), integer("k", k)) < 0:
-        raise ValueError("j and k must be non-negative")
-    num = perm(j, k) * prod(range(2 * j - 1 + h, 2 * j - 1 + h + 2 * k, 2))
-    den = factorial(k) * prod(range(1 + h, 2 * k + h, 2))
-    return Fraction(-num if k % 2 else num, den)
-
-
 def coeff_f(j: int, k: int) -> Fraction:
     """Interior coefficient for the odd-cycle families G and H.
 
@@ -88,43 +70,54 @@ def coeff_f(j: int, k: int) -> Fraction:
     >>> coeff_f(5, 0)
     Fraction(1, 1)
     """
-    return _coeff(j, k, 0)
+    # (-1)^k C(j, k) times the odd numbers from 2j - 1 up, k of them, over
+    # those from 1 up to 2k - 1
+    if min(integer("j", j), integer("k", k)) < 0:
+        raise ValueError("j and k must be non-negative")
+    num = perm(j, k) * prod(range(2 * j - 1, 2 * j - 1 + 2 * k, 2))
+    den = factorial(k) * prod(range(1, 2 * k, 2))
+    return Fraction(-num if k % 2 else num, den)
 
 
 def closed_char_ed(k_cycle: int, e, d, diff_parity: str = "even"):
     """Single-cycle rectangle character in the (e, d) coordinates.
 
+    The value at p = e - d, q = e + d from Kerov's transition measure
+    (S. Kerov, Funct. Anal. Appl. 27, 1993; P. Biane, Lecture Notes in
+    Math. 1815, 2003), which shares no formula with the sums it checks:
+
+      Ch_k = -(1/k!) sum_{j<k} (-1)^(k-1-j) C(k-1, j) f(j),
+      f(j) = prod_{m=j-k+1}^{j} (m - p)(m + q).
+
     e and d may be ints or Fractions; any other type, a float or a bool
     included, raises TypeError (rectchar.exact.rational).  diff_parity
-    selects integer or half-integer shifts in the structured sum; the two
-    choices agree identically in e and d, so either evaluates the same
-    polynomial.
+    must be "even" or "odd" and changes nothing.
 
     >>> closed_char_ed(3, Fraction(2), Fraction(0))
     Fraction(-12, 1)
     >>> closed_char_ed(2, Fraction(5, 2), Fraction(1, 2), "odd")
     Fraction(6, 1)
     """
-    integer("cycle length", k_cycle)
-    e2 = Fraction(rational("e", e)) ** 2
-    d2 = Fraction(rational("d", d)) ** 2
-    if k_cycle < 1:
+    k = integer("cycle length", k_cycle)
+    e, d = rational("e", e), rational("d", d)
+    if k < 1:
         raise ValueError("cycle length must be positive")
     if diff_parity not in ("even", "odd"):
         raise ValueError(f"bad difference parity {diff_parity!r}")
-    # a (2j - 1)-cycle (h = 0) or a 2j-cycle (h = 2); the shifts are t / 2
-    # for t = t0, t0 + 2, ...: integers from h / 2, or half-integers from 1/2
-    j = (k_cycle + 1) // 2
-    h = 0 if k_cycle % 2 else 2
-    t0 = 1 if diff_parity == "odd" else h
-    shifts = [Fraction((t0 + 2 * r) ** 2, 4) for r in range(j)]
-    d_run = [d2 - shift for shift in shifts]
-    e_run = [e2 - shift for shift in shifts]
-    total = sum(_coeff(j, k, h) * prod(d_run[:k] + e_run[k:])
-                for k in range(j + 1))
-    sign = -1 if j % 2 == 0 else 1
-    pref = comb(2 * j - 1, j) * 2 * Fraction(d) if h else catalan(j - 1)
-    return sign * pref * total
+    # p = a / b, q = c / g: (b g)^k f(j) is x(m) = (m b - a)(m g + c) over
+    # the window, split at m = 0 into high = x(1) ... x(j) and low[i] =
+    # (-1)^(i + 1) x(0) ... x(-i), which holds the signs; nothing divides.
+    p, q = e - d, e + d
+    a, b, c, g = p.numerator, p.denominator, q.numerator, q.denominator
+    low = [a * c]
+    for m in range(1, k):
+        low.append(low[-1] * (m * b + a) * (c - m * g))
+    total, high, binom = 0, 1, 1
+    for j, below in enumerate(reversed(low), 1):
+        total += below * high * binom
+        high *= (j * b - a) * (j * g + c)
+        binom = binom * (k - j) // j
+    return Fraction(total, factorial(k) * (b * g) ** k)
 
 
 def corollary_poly(two_d: int, cycle_parity: str) -> JNPoly:
@@ -211,8 +204,8 @@ def ch_rect_fast(k_cycle: int, p: int, q: int) -> int:
         return 0
     lo, hi = (p, q) if p < q else (q, p)
     dd = q - p
-    # Four times each (e, d) factor of closed_char_ed: offsets t of the
-    # parity of D, from 1 for odd D, else from h = 0 (odd cycles) or 2.
+    # Four times each (e, d) factor of the sum: offsets t of the parity
+    # of D, from 1 for odd D, else from h = 0 (odd cycles) or 2.
     j = (k_cycle + 1) // 2
     sign = -1 if j % 2 == 0 else 1
     if k_cycle % 2 == 0:

@@ -283,6 +283,16 @@ def test_poly_usage_errors(capsys):
         assert code == 2 and "capped" in err and out == ""
 
 
+def test_poly_refuses_a_flag_its_kind_does_not_read(capsys):
+    for argv, flag, kind in (
+            (("--kind", "stanley", "--cycle", "2", "--two-d", "4"),
+             "--two-d", "stanley"),
+            (("--kind", "G", "--two-d", "2", "--cycle", "3"), "--cycle", "G")):
+        code, out, err = run(capsys, "poly", *argv)
+        assert (code, out) == (2, "")
+        assert err == f"poly: {flag} does not apply to kind {kind}\n"
+
+
 def test_verify_jm_suite(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "jm", "--k-max", "4")
     assert code == 0

@@ -1,6 +1,8 @@
 """Tests for the closed product formulas and the family polynomials."""
 
+import ast
 import hashlib
+import inspect
 import sys
 import time
 from fractions import Fraction
@@ -10,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from polyfixtures import CYCLE_PARITY, EXPECTED
+import rectchar.closed
 from rectchar.cli import CLOSED_CAP, TYPE_CAP
 from rectchar.closed import (
     ch_rect_fast,
@@ -91,6 +94,33 @@ def test_closed_char_ed_matches_stanley_up_to_the_stanley_cap():
             for parity in ("even", "odd"):
                 assert closed_char_ed(k, e, d, parity) == want, (
                     k, e, d, parity)
+
+
+def test_closed_char_ed_names_no_other_closed_code():
+    # the reference must not evaluate the sums that it checks
+    tree = ast.parse(inspect.getsource(closed_char_ed))
+    named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    others = set(rectchar.closed.__all__) - {"closed_char_ed"}
+    private = {name for name in vars(rectchar.closed) if name.startswith("_")}
+    assert not named & (others | private)
+
+
+def test_closed_char_ed_at_the_cap_matches_ch_rect_fast():
+    started = time.perf_counter()
+    value = closed_char_ed(CLOSED_CAP, Fraction(10**12 + 1, 2),
+                           Fraction(10**12 - 1, 2))
+    assert time.perf_counter() - started < 5.0
+    assert value == ch_rect_fast(CLOSED_CAP, 1, 10**12)
+
+
+def test_closed_char_ed_matches_stanley_at_every_small_integer_point():
+    # p or q = 0, and windows whose zeros are a prefix or a suffix
+    for k in range(1, 11):
+        poly = stanley_poly((k,))
+        for p in range(-k - 1, k + 2):
+            for q in range(-k - 1, k + 2):
+                got = closed_char_ed(k, Fraction(p + q, 2), Fraction(q - p, 2))
+                assert got == poly.evaluate(p, q), (k, p, q)
 
 
 def test_corollary_poly_matches_fixtures():
