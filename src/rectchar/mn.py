@@ -13,11 +13,13 @@ products (Frame, Robinson and Thrall):
 
     H(lam) / H(lam') = x! / (x - r)! prod_{b != x} (x - r - b) / (x - b),
 
-which does not involve n.  The product is taken one run of consecutive
-beads at a time, each run as O(r) factors, and its sign is that of the
-strip.  Each node sums its branches over a common denominator and ends
-with one checked exact division.  Fixed points leave the recursion at
-once: with m the total of the parts greater than 1,
+which does not involve n.  Each memo node does all of its work in one
+frame: it finds the beads that can move, is 0 when none can, splits its
+beta-set into runs of consecutive beads once, and for each branch whose
+rest is nonzero takes the ratio one run at a time, each run as O(r)
+factors, signed by the strip.  It sums its branches over a common
+denominator and ends with one checked exact division.  Fixed points leave
+the recursion at once: with m the total of the parts greater than 1,
 Ch_pi = (n - m) (n - m - 1) ... (n - k + 1) Ch_pi', pi' those parts.
 So the cost follows the non-unit parts of pi and the strips they remove,
 not n; only the bitmask, lam_1 + l bits (p + q on a rectangle), grows
@@ -50,79 +52,64 @@ def _beads(parts: tuple[int, ...]) -> int:
     return mask
 
 
-def _movable(mask: int, r: int) -> int:
-    # the beads x >= r whose x - r is empty: each starts one r-strip
-    return mask & ~(mask << r) & -(1 << r)
-
-
-def _runs(mask: int) -> list[tuple[int, int]]:
-    # the maximal runs of consecutive beads, as [start, end) from the bottom
-    runs = []
-    while mask:
-        low = mask & -mask
-        carried = mask + low  # the run cleared, its end bit set
-        end = (carried & ~mask).bit_length() - 1
-        runs.append((low.bit_length() - 1, end))
-        mask &= carried
-    return runs
-
-
-def _hook_ratio(runs: list[tuple[int, int]], x: int,
-                r: int) -> tuple[int, int]:
-    """(top, bottom) with top / bottom = +-H(lam) / H(lam'), where lam' is
-    lam with the bead at x moved down to the empty x - r, signed by the
-    beads jumped.
-
-    Over a run of beads a..e-1 below x - r, the product of
-    (x - r - b) / (x - b) telescopes to r factors each way,
-    perm(x - e, r) / perm(x - a, r), and likewise above x; the fewer than
-    r beads between x - r and x are taken one factor each.
-    """
-    y = x - r
-    top, bottom, jumped = perm(x, r), 1, 0
-    for a, e in runs:
-        if e <= y:  # below the gap
-            top *= perm(x - e, r)
-            bottom *= perm(x - a, r)
-            continue
-        if a <= x:  # jumped beads a..min(e, x) - 1, as (b - y) / (x - b)
-            c = min(e, x)
-            top *= perm(c - 1 - y, c - a)
-            bottom *= perm(x - a, c - a)
-            jumped += c - a
-            if e <= x + 1:
-                continue
-            a = x + 1
-        # above x
-        top *= perm(e - 1 - y, r)
-        bottom *= perm(a - 1 - y, r)
-    return (-top if jumped % 2 else top), bottom
-
-
 @lru_cache(maxsize=None)
 def _ch(mask: int, parts: tuple[int, ...]) -> int:
     """Ch at the non-empty, weakly decreasing parts > 1 of the shape with
-    beta-set mask: one bead move per part, largest part first."""
+    beta-set mask: one bead move per part, largest part first.
+
+    A bead x >= r whose x - r is empty starts one r-strip.  Each branch is
+    weighted by top / bottom = +-H(lam) / H(lam'), taken over the maximal
+    runs a..e-1 of consecutive beads.  Over a run below y = x - r the
+    product of (y - b) / (x - b) telescopes to r factors each way,
+    perm(x - e, r) / perm(x - a, r), and likewise above x; the fewer than
+    r jumped beads between y and x are taken one factor each, as
+    (b - y) / (x - b), and their count signs the branch.
+    """
     r, rest = parts[0], parts[1:]
-    movable, runs = _movable(mask, r), _runs(mask)
+    movable = mask & ~(mask << r) & -(1 << r)
+    if not movable:
+        return 0
+    runs = []  # as [start, end) from the bottom
+    beads = mask
+    while beads:
+        low = beads & -beads
+        carried = beads + low  # the run cleared, its end bit set
+        runs.append((low.bit_length() - 1,
+                     (carried & ~beads).bit_length() - 1))
+        beads &= carried
     num, den = 0, 1
     while movable:
         bead = movable & -movable
         movable ^= bead
         value = _ch(mask ^ bead ^ (bead >> r), rest) if rest else 1
-        if value:
-            top, bottom = _hook_ratio(runs, bead.bit_length() - 1, r)
-            num = num * bottom + top * value * den
-            den *= bottom
+        if not value:
+            continue
+        x = bead.bit_length() - 1
+        y = x - r
+        top, bottom, jumped = perm(x, r), 1, 0
+        for a, e in runs:
+            if e <= y:  # below the gap
+                top *= perm(x - e, r)
+                bottom *= perm(x - a, r)
+            elif a > x:  # above x
+                top *= perm(e - 1 - y, r)
+                bottom *= perm(a - 1 - y, r)
+            else:  # jumped beads a..c - 1, then any of the run from x + 1
+                c = e if e < x else x
+                top *= perm(c - 1 - y, c - a)
+                bottom *= perm(x - a, c - a)
+                jumped += c - a
+                if e > x + 1:
+                    top *= perm(e - 1 - y, r)
+                    bottom *= perm(x - y, r)
+        if jumped % 2:
+            top = -top
+        num = num * bottom + top * value * den
+        den *= bottom
     quotient, rem = divmod(num, den)
     if rem:
         raise ArithmeticError(f"non-integer normalized character {num}/{den}")
     return quotient
-
-
-def _non_unit(cycles: tuple[int, ...]) -> tuple[int, ...]:
-    # the parts > 1 of a weakly decreasing tuple
-    return cycles[:cycles.index(1)] if 1 in cycles else cycles
 
 
 def normalized_character(cycle, shape) -> int:
@@ -144,7 +131,7 @@ def normalized_character(cycle, shape) -> int:
     n, k = sum(shape), sum(cycle)
     if n < k:
         return 0
-    parts = _non_unit(cycle)
+    parts = cycle[:cycle.index(1)] if 1 in cycle else cycle  # those > 1
     if not parts:
         return perm(n, k)
     m = sum(parts)

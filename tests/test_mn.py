@@ -1,6 +1,8 @@
 """Tests for the Murnaghan-Nakayama oracle."""
 
 from fractions import Fraction
+from functools import lru_cache
+from hashlib import sha256
 from math import factorial, perm
 from time import perf_counter
 
@@ -14,15 +16,9 @@ from bruteforce import (
     hook_length_dim,
     syt_count,
 )
+from rectchar.cli import ORACLE_WIDTH_CAP
 from rectchar.closed import ch_rect_fast
-from rectchar.mn import (
-    _beads,
-    _ch,
-    _hook_ratio,
-    _movable,
-    _runs,
-    normalized_character,
-)
+from rectchar.mn import _beads, _ch, normalized_character
 from rectchar.stanley import stanley_eval
 from rectchar.young import Partition, partitions, rectangle
 
@@ -191,49 +187,100 @@ def _hooks(parts):
     return factorial(sum(parts)) // hook_length_dim(parts)
 
 
-def test_bead_moves_are_the_border_strips():
-    # every r-strip of every shape of size <= 10 is one bead move, signed by
-    # the beads it jumps and weighted by the ratio of hook products; a
-    # beta-set with extra beads at the bottom is the same shape
+def _masks(lam):
+    # the beta-set of lam with 0, 1 and 2 extra beads at the bottom, each
+    # the same shape
+    for extra in range(3):
+        mask = (_beads(lam.parts) << extra) | ((1 << extra) - 1)
+        assert _shape_of(mask) == lam.parts
+        yield mask
+
+
+@lru_cache(maxsize=None)
+def _strips(parts, r):
+    # (lam', +-H(lam) / H(lam')) for each r-strip lam / lam' of the shape,
+    # signed by its height, from the brute-force border strips
+    hooks = _hooks(parts)
+    return tuple((inner, Fraction(-hooks if height % 2 else hooks,
+                                  _hooks(inner)))
+                 for inner, height in border_strips(parts, r))
+
+
+def _strip_sum(parts, r):
+    # Ch_(r) by brute force
+    return sum(ratio for _, ratio in _strips(parts, r))
+
+
+def test_a_node_sums_its_border_strips():
+    # Ch_(r) and Ch_(r, s) of every shape of size <= 10, from a cold memo,
+    # equal the brute-force sums over r-strips lam / lam' of
+    # +-H(lam) / H(lam') and of that times Ch_(s)(lam')
+    _ch.cache_clear()
     for n in range(1, 11):
         for lam in partitions(n):
-            for extra in range(3):
-                mask = (_beads(lam.parts) << extra) | ((1 << extra) - 1)
-                assert _shape_of(mask) == lam.parts
-                runs = _runs(mask)
-                for r in range(1, n + 1):
-                    got = set()
-                    movable = _movable(mask, r)
-                    while movable:
-                        bead = movable & -movable
-                        movable ^= bead
-                        rest = _shape_of(mask ^ bead ^ (bead >> r))
-                        x = bead.bit_length() - 1
-                        top, bottom = _hook_ratio(runs, x, r)
-                        assert (Fraction(abs(top), bottom)
-                                == Fraction(_hooks(lam.parts), _hooks(rest)))
-                        got.add((rest, 1 if top > 0 else -1))
-                    want = {(inner, -1 if height % 2 else 1)
-                            for inner, height in border_strips(lam.parts, r)}
-                    assert got == want, (lam, r, extra)
+            for r in range(1, n + 1):
+                strips = _strips(lam.parts, r)
+                want = [_strip_sum(lam.parts, r)] + [
+                    sum(ratio * _strip_sum(inner, s) for inner, ratio in strips)
+                    for s in range(1, r + 1)]
+                for mask in _masks(lam):
+                    got = [_ch(mask, (r,))] + [_ch(mask, (r, s))
+                                               for s in range(1, r + 1)]
+                    assert got == want, (lam, r, mask)
 
 
-def test_runs_of_a_beta_set():
-    assert _runs(0) == []
-    assert _runs(0b1110110001) == [(0, 1), (4, 6), (7, 10)]
-    assert _runs(_beads((5, 5, 5))) == [(5, 8)]
+def test_bead_moves_are_the_border_strips(monkeypatch):
+    # every r-strip of every shape of size <= 10 is one branch of its node,
+    # signed by the beads it jumps and weighted by the ratio of hook
+    # products.  A child lam' that reads H(lam') B^i, i its index among the
+    # shapes of its size, makes the node H(lam) times the sum of +-B^i over
+    # its strips; B is far above any hook ratio of these sizes, so one
+    # wrong, missing or extra branch changes the sum
+    base = 1 << 64
+    index = {}
+    monkeypatch.setattr("rectchar.mn._ch", lambda mask, rest: (
+        base ** index[_shape_of(mask)] * _hooks(_shape_of(mask))))
+    node = _ch.__wrapped__
+    for n in range(1, 11):
+        for lam in partitions(n):
+            for r in range(1, n + 1):
+                index = {mu.parts: i for i, mu in enumerate(partitions(n - r))}
+                want = _hooks(lam.parts) * sum(
+                    (1 if ratio > 0 else -1) * base ** index[inner]
+                    for inner, ratio in _strips(lam.parts, r))
+                for mask in _masks(lam):
+                    assert node(mask, (r, 1)) == want, (lam, r, mask)
+
+
+def test_beads_of_a_shape():
+    assert _beads(()) == 0
+    assert _beads((5, 5, 5)) == 0b111 << 5
     assert _beads((3, 1)) == 0b10010
+    assert _beads((4, 2, 2)) == 0b1001100
 
 
 def test_a_node_with_a_remainder_raises(monkeypatch):
-    # each node ends in one checked division
+    # each node ends in one checked division: with every falling factorial
+    # read as 1 but those of 0 read as 2, the one branch of Ch_(2) at the
+    # shape (2) is 1/2
     _ch.cache_clear()
-    monkeypatch.setattr("rectchar.mn._hook_ratio", lambda runs, x, r: (1, 2))
+    monkeypatch.setattr("rectchar.mn.perm", lambda n, k: 1 if n else 2)
     try:
         with pytest.raises(ArithmeticError):
             _ch(_beads((2,)), (2,))
     finally:
         _ch.cache_clear()
+
+
+def test_values_off_rectangles_are_pinned():
+    # verify checks only rectangles; this pins every shape of size <= 12 at
+    # every type of size <= 8, 17,886 values
+    values = [normalized_character(pi, lam)
+              for n in range(1, 13) for lam in partitions(n)
+              for size in range(1, 9) for pi in partitions(size)]
+    assert len(values) == 17886
+    assert sha256(repr(values).encode()).hexdigest() == (
+        "aa08c74e7cb7c1c0479b86161079e0a28d7cf56e22ffd9a18ef2028429a4ad5a")
 
 
 @pytest.mark.parametrize("cycle, p, q", [
@@ -248,6 +295,18 @@ def test_large_rectangles_cost_no_more_than_their_strips(cycle, p, q):
     start = perf_counter()
     value = normalized_character(Partition(cycle), shape)
     assert perf_counter() - start < 0.1
+    assert value == stanley_eval(Partition(cycle), p, q)
+
+
+@pytest.mark.parametrize("cycle", [(2,) * 12, (5, 4, 4, 3)])
+@pytest.mark.parametrize("p, q", [(5000, 5000), (30, 9970), (9970, 30)])
+def test_general_types_at_the_width_cap(cycle, p, q):
+    # the widest bitmask eval takes; 2^12 needs about 0.1 s cold here
+    assert p + q == ORACLE_WIDTH_CAP
+    _ch.cache_clear()
+    start = perf_counter()
+    value = normalized_character(Partition(cycle), rectangle(p, q))
+    assert perf_counter() - start < 1
     assert value == stanley_eval(Partition(cycle), p, q)
 
 
