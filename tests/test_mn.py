@@ -301,7 +301,8 @@ def test_large_rectangles_cost_no_more_than_their_strips(cycle, p, q):
 @pytest.mark.parametrize("cycle", [(2,) * 12, (5, 4, 4, 3)])
 @pytest.mark.parametrize("p, q", [(5000, 5000), (30, 9970), (9970, 30)])
 def test_general_types_at_the_width_cap(cycle, p, q):
-    # the widest bitmask eval takes; 2^12 needs about 0.1 s cold here
+    # the widest bitmask eval takes; 2^12 needs 0.05-0.1 s cold on a 2-core
+    # host
     assert p + q == ORACLE_WIDTH_CAP
     _ch.cache_clear()
     start = perf_counter()
