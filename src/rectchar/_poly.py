@@ -125,6 +125,11 @@ class _Poly2:
         return self + (-rhs)
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
+            # a number scales each coefficient; 0 gives the zero polynomial
+            return type(self)._of({key: c * other
+                                   for key, c in self._terms.items()}
+                                  if other else {})
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented

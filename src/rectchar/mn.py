@@ -25,10 +25,16 @@ So the cost follows the non-unit parts of pi and the strips they remove,
 not n; only the bitmask, lam_1 + l bits (p + q on a rectangle), grows
 with the shape.
 
-The recursion is memoized for the life of the process on (beta-set,
-remaining non-unit parts), so a later call that meets a subproblem an
-earlier one solved, such as the same rectangle at the same cycle type,
-reuses it.
+The recursion is memoized for the life of the process on (shape as a
+beta-set with no empty-row beads, remaining non-unit parts), so a later
+call that meets a subproblem an earlier one solved, such as the same
+rectangle at the same cycle type, reuses it.  Beads at the bottom of a
+beta-set, from position 0 up, are rows of length 0 (James and Kerber 1981,
+2.7): a strip that empties a row leaves such a bead, and the child is
+shifted down past them before the lookup, so a shape reached with and
+without that row is one entry.  What depends on the cycle type alone, its
+size, its parts greater than 1 and their total, is split once per type
+and kept for the last 128 types.
 """
 
 from __future__ import annotations
@@ -63,7 +69,9 @@ def _ch(mask: int, parts: tuple[int, ...]) -> int:
     product of (y - b) / (x - b) telescopes to r factors each way,
     perm(x - e, r) / perm(x - a, r), and likewise above x; the fewer than
     r jumped beads between y and x are taken one factor each, as
-    (b - y) / (x - b), and their count signs the branch.
+    (b - y) / (x - b), and their count signs the branch.  Every beta-set of
+    a shape gives the same value; each child is looked up shifted past its
+    empty-row beads, so the memo holds one entry per shape.
     """
     r, rest = parts[0], parts[1:]
     movable = mask & ~(mask << r) & -(1 << r)
@@ -81,9 +89,15 @@ def _ch(mask: int, parts: tuple[int, ...]) -> int:
     while movable:
         bead = movable & -movable
         movable ^= bead
-        value = _ch(mask ^ bead ^ (bead >> r), rest) if rest else 1
-        if not value:
-            continue
+        if rest:
+            child = mask ^ bead ^ (bead >> r)
+            if child & 1:  # drop the empty rows, the run of beads from 0
+                child >>= (~child & (child + 1)).bit_length() - 1
+            value = _ch(child, rest)
+            if not value:
+                continue
+        else:
+            value = 1
         x = bead.bit_length() - 1
         y = x - r
         top, bottom, jumped = perm(x, r), 1, 0
@@ -112,6 +126,16 @@ def _ch(mask: int, parts: tuple[int, ...]) -> int:
     return quotient
 
 
+@lru_cache(maxsize=128)
+def _split(cycle: tuple[int, ...]) -> tuple[int, tuple[int, ...], int]:
+    # the size k of a valid cycle type, its parts > 1 and their total m;
+    # kept for the last 128 types only, as a caller meets a type's cases
+    # together and one entry per type of a long run would keep every type
+    # alive
+    parts = cycle[:cycle.index(1)] if 1 in cycle else cycle
+    return sum(cycle), parts, sum(parts)
+
+
 def normalized_character(cycle, shape) -> int:
     """The normalized character Ch: falling factorial times character ratio.
 
@@ -128,11 +152,11 @@ def normalized_character(cycle, shape) -> int:
     # a Partition as it is, anything else once validated
     shape = shape.parts if type(shape) is Partition else Partition(shape).parts
     cycle = cycle.parts if type(cycle) is Partition else Partition(cycle).parts
-    n, k = sum(shape), sum(cycle)
+    k, parts, m = _split(cycle)
+    n = sum(shape)
     if n < k:
         return 0
-    parts = cycle[:cycle.index(1)] if 1 in cycle else cycle  # those > 1
     if not parts:
         return perm(n, k)
-    m = sum(parts)
     return perm(n - m, k - m) * _ch(_beads(shape), parts)
+

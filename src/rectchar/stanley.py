@@ -10,7 +10,11 @@ character, Ch_{pi u 1^m}(p x q) = Ch_pi(p x q) times the falling factorial
 (pq - |pi|) (pq - |pi| - 1) ... (pq - |pi| - m + 1), so the evaluators
 build the table of the non-unit parts of pi only, once per such core, and
 multiply by that one factor; 1^n builds no table.  The table itself still
-takes any type, unit parts included.
+takes any type, unit parts included.  What depends on the cycle type alone
+is split once per type into a plan: |core|, the number m of unit parts and
+the core's table, held by reference, not copied; the last 128 types keep
+theirs.  The evaluators check the type, then the sides, and only then
+fetch the plan, so a refused side builds neither.
 
 The table comes from the Jucys-Murphy content identity (Jucys 1974;
 Murphy 1981), not from the k! factorizations:
@@ -247,15 +251,28 @@ def _joint_cycle_table(parts: tuple[int, ...]) -> tuple:
     return tuple(table)
 
 
-def _split_units(pi) -> tuple[tuple[int, ...], int]:
-    """The non-unit parts of the cycle type pi, its core, and the number m
-    of its unit parts, pi validated and non-empty; the empty core has
-    value 1 and no table."""
+def _type_parts(pi) -> tuple[int, ...]:
+    # the parts of the cycle type pi, validated and non-empty
     parts = pi.parts if isinstance(pi, Partition) else Partition(pi).parts
     if not parts:
         raise ValueError("cycle type must be non-empty")
+    return parts
+
+
+@lru_cache(maxsize=128)
+def _plan(parts: tuple[int, ...]) -> tuple[int, int, tuple]:
+    """(|core|, m, table) for the valid cycle type parts: its core, the
+    non-unit parts, of total |core|, its m unit parts, and the core's joint
+    cycle table (the same object _joint_cycle_table caches), () for the
+    empty core, which has value 1.
+
+    Only the last 128 types keep a plan: a caller meets a type's cases
+    together, and a plan is cheap to redo from the cached table, where one
+    per type of a long run would keep every type alive.
+    """
     m = parts.count(1)
-    return parts[:len(parts) - m], m
+    core = parts[:len(parts) - m]
+    return sum(core), m, _joint_cycle_table(core) if core else ()
 
 
 def stanley_eval(pi, p, q):
@@ -270,14 +287,14 @@ def stanley_eval(pi, p, q):
     >>> stanley_eval(Partition((2,)), 2, 3)
     6
     """
-    core, m = _split_units(pi)
+    parts = _type_parts(pi)
     int_sides = type(p) is int and type(q) is int
     if not int_sides:
         rational("p", p)
         rational("q", q)
         # an int subclass other than bool is an int side
         int_sides = not isinstance(p, Fraction) and not isinstance(q, Fraction)
-    k = sum(core)
+    k, m, table = _plan(parts)
     # With p = a/b and -q = c/d, (b d)^k times the core's value is an
     # integer: one homogeneous Horner pass over the packed rows, in c1 with
     # (c, d) outside and in c2, two at a time, with (a^2, b^2) inside.  Row
@@ -288,10 +305,10 @@ def stanley_eval(pi, p, q):
     if int_sides:
         a, c = p, -q
         total = 1
-        if core:
+        if table:
             a2 = a * a
             total = 0
-            for first, counts in reversed(_joint_cycle_table(core)):
+            for first, counts in reversed(table):
                 inner = 0
                 for count in reversed(counts):
                     inner = inner * a2 + count
@@ -304,10 +321,10 @@ def stanley_eval(pi, p, q):
     a, b = p.numerator, p.denominator
     c, d = -q.numerator, q.denominator
     total = 1
-    if core:
+    if table:
         a2, b2 = a * a, b * b
         total, d_power = 0, 1
-        for first, counts in reversed(_joint_cycle_table(core)):
+        for first, counts in reversed(table):
             inner, b_power = 0, b ** (k + 2 - first - 2 * len(counts))
             for count in reversed(counts):
                 inner = inner * a2 + count * b_power
@@ -331,9 +348,7 @@ def stanley_poly(pi) -> BiPoly:
     >>> print(stanley_poly(Partition((2,))))
     -1*P^2*Q + 1*P*Q^2
     """
-    core, m = _split_units(pi)
-    k = sum(core)
-    rows = _joint_cycle_table(core) if core else ()
+    k, m, rows = _plan(_type_parts(pi))
     # the core's term P^c2 Q^c1 has the sign of (-1)^(|core| + c1); the
     # empty core has no rows and is the constant 1
     sign = -1 if k % 2 else 1

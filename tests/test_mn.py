@@ -16,9 +16,9 @@ from bruteforce import (
     hook_length_dim,
     syt_count,
 )
-from rectchar.cli import ORACLE_WIDTH_CAP
+from rectchar.cli import ORACLE_WIDTH_CAP, main
 from rectchar.closed import ch_rect_fast
-from rectchar.mn import _beads, _ch, normalized_character
+from rectchar.mn import _beads, _ch, _split, normalized_character
 from rectchar.stanley import stanley_eval
 from rectchar.young import Partition, partitions, rectangle
 
@@ -173,6 +173,57 @@ def test_memo_tells_unit_parts_apart():
                 chi = character_bruteforce(lam, pi + (1,) * (n - k))
                 want = Fraction(perm(n, k) * chi, syt_count(lam))
                 assert normalized_character(pi, lam) == want, (pi, lam)
+
+
+def test_the_memo_is_keyed_on_shapes():
+    # the strip 2 -> 0 of the 2 x 2 leaves the beta-set 0b1001, the shape
+    # (2) with an empty row; shifted past that bead it is the leaf
+    # (0b100, (2,)) that 1 x 4 reaches too, so the two calls store 4
+    # entries, not 5
+    _ch.cache_clear()
+    assert normalized_character((2, 2), rectangle(2, 2)) == 24
+    assert normalized_character((2, 2), rectangle(1, 4)) == 24
+    assert _ch.cache_info().currsize == 4
+    assert _ch(0b100, (2,)) == normalized_character((2,), (2,))
+    assert _ch.cache_info().currsize == 4
+
+
+def test_verify_grid_memo_entries_are_pinned(capsys):
+    # one entry per (shape, remaining parts) that verify's grid reaches;
+    # keyed on raw beta-sets the same run stored 1342
+    _ch.cache_clear()
+    try:
+        assert main(["verify", "--suite", "all", "--k-max", "7",
+                     "--pq-max", "7"]) == 0
+    finally:
+        capsys.readouterr()
+    assert _ch.cache_info().currsize == 1240
+
+
+def test_a_cycle_type_is_split_once():
+    # a list, a tuple and a Partition of one type read one plan entry
+    _split.cache_clear()
+    values = {normalized_character(cycle, rectangle(3, 4))
+              for cycle in ([3, 2, 1], (3, 2, 1), Partition((3, 2, 1)))}
+    assert values == {normalized_character((3, 2, 1), (4, 4, 4))}
+    assert _split.cache_info().currsize == 1
+    assert _split((3, 2, 1)) == (6, (3, 2), 5)
+    assert _split((1, 1)) == (2, (), 0)
+    # a long run keeps the plans of its last 128 types only
+    for size in range(1, 12):
+        for pi in partitions(size):
+            normalized_character(pi, rectangle(2, 3))
+    assert _split.cache_info().currsize == 128
+
+
+def test_a_refused_argument_splits_nothing():
+    # the cycle and the shape are validated before the plan is fetched
+    _split.cache_clear()
+    for cycle, shape in (((2, 3), (2, 2)), ((2.0,), (2, 2)),
+                         ((2,), (2, 3)), ((2,), (True,))):
+        with pytest.raises((TypeError, ValueError)):
+            normalized_character(cycle, shape)
+    assert _split.cache_info().currsize == 0
 
 
 def _shape_of(mask):

@@ -103,3 +103,31 @@ def test_printing():
     assert str(JNPoly({(0, 1): 1, (2, 0): -2, (1, 0): 1, (0, 0): 1})) == (
         "N - 2*J^2 + J + 1")
     assert str(BiPoly()) == "0"
+
+
+def test_a_number_scales_each_coefficient():
+    # an int or a Fraction scales term by term, with no convolution; the
+    # ring is kept and 0 gives the zero polynomial
+    terms = {(2, 1): -1, (1, 2): 1, (0, 0): Fraction(1, 3)}
+    for ring in (BiPoly, DEPoly, JNPoly):
+        p = ring(terms)
+        for scalar in (3, -1, Fraction(1, 2), Fraction(-4, 3)):
+            want = ring({key: c * scalar for key, c in terms.items()})
+            for scaled in (scalar * p, p * scalar):
+                assert type(scaled) is ring
+                assert scaled == want == p * ring.constant(scalar)
+        assert 3 * p == ring({(2, 1): -3, (1, 2): 3, (0, 0): 1})
+        assert p * Fraction(1, 2) == ring(
+            {(2, 1): Fraction(-1, 2), (1, 2): Fraction(1, 2),
+             (0, 0): Fraction(1, 6)})
+        for zero in (p * 0, 0 * p, p * Fraction(0)):
+            assert zero == 0 and type(zero) is ring and not zero.terms()
+
+
+def test_a_bool_is_not_a_scalar():
+    p = BiPoly({(1, 0): 1})
+    for flag in (True, False):
+        with pytest.raises(TypeError, match="an int or a Fraction"):
+            p * flag
+        with pytest.raises(TypeError, match="an int or a Fraction"):
+            flag * p

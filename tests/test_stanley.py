@@ -34,6 +34,7 @@ from rectchar.stanley import (
     _conjugate_mask,
     _content_coeffs,
     _joint_cycle_table,
+    _plan,
     _shape,
     _spans,
     decompose_even_basis,
@@ -397,12 +398,47 @@ def test_stanley_eval_refuses_inexact_sides():
 
 
 def test_a_refused_side_builds_no_table():
-    # the sides are checked before the joint cycle table is built and cached
+    # the sides are checked before the type's plan and its joint cycle
+    # table are built and cached; both caches start cold, so the test does
+    # not lean on a plan an earlier test left behind
+    _plan.cache_clear()
     _joint_cycle_table.cache_clear()
     for p, q in ((0.5, 1), (1, 0.5), (True, 1)):
         with pytest.raises(TypeError):
             stanley_eval((2,) * 8, p, q)
     assert _joint_cycle_table.cache_info().currsize == 0
+    assert _plan.cache_info().currsize == 0
+
+
+def test_a_cycle_type_is_planned_once():
+    # a list, a tuple and a Partition of one type read one plan, which
+    # holds the core's cached table itself, not a copy
+    _plan.cache_clear()
+    for parts in ((3, 2, 1, 1), (4, 2), (1, 1, 1)):
+        values = {stanley_eval(pi, 3, 5) for pi in (
+            list(parts), parts, Partition(parts))}
+        polys = {stanley_poly(pi) for pi in (
+            list(parts), parts, Partition(parts))}
+        assert values == {normalized_character(parts, rectangle(3, 5))}
+        assert len(polys) == 1
+    assert _plan.cache_info().currsize == 3
+    k, m, table = _plan((3, 2, 1, 1))
+    assert (k, m) == (5, 2) and table is _joint_cycle_table((3, 2))
+    assert _plan((1, 1, 1)) == (0, 3, ())
+    # a long run keeps the plans of its last 128 types only
+    for size in range(1, 12):
+        for pi in partitions(size):
+            stanley_eval(pi, 2, 3)
+    assert _plan.cache_info().currsize == 128
+
+
+def test_int_subclass_sides_give_an_int_from_a_cold_plan():
+    Side = IntEnum("Side", {"TWO": 2, "FIVE": 5})
+    for parts in ((3, 2, 1), (1, 1), (4,)):
+        _plan.cache_clear()
+        value = stanley_eval(parts, Side.TWO, Side.FIVE)
+        assert type(value) is int
+        assert value == stanley_eval(parts, 2, 5)
 
 
 def test_raw_cycle_types_are_still_validated():
