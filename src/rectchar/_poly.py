@@ -145,13 +145,17 @@ class _Poly2:
     def __eq__(self, other: object) -> bool:
         if isinstance(other, _Poly2):
             return type(self) is type(other) and self._terms == other._terms
-        if isinstance(other, (int, Fraction)):
+        # a bool is not a number under the input rule
+        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
             if other == 0:
                 return not self._terms
             return self._terms == {(0, 0): other}
         return NotImplemented
 
     def __hash__(self) -> int:
+        if self._terms.keys() <= {(0, 0)}:
+            # a constant hashes like the number it equals
+            return hash(self._terms.get((0, 0), 0))
         return hash((type(self).__name__, frozenset(self._terms.items())))
 
     def _sort_key(self, key):

@@ -14,10 +14,12 @@ Evaluation methods
 
 The oracle and stanley share one cap, TYPE_CAP: cycle types of size <= 24,
 so the two general-type routes cross-check wherever either one runs.
-_refusal states each method's caps once: eval refuses an input past them,
-bench refuses a cycle past the closed cap and leaves the oracle and
-stanley out past theirs, poly --kind stanley takes the type cap, and
-verify's vanishing suite runs each method that accepts its input.
+_ROUTES, the one place a route is added, maps each method to its evaluator
+in bench's row order; eval's choices, bench and verify read it.  _refusal
+states each method's caps once: eval refuses an input past them, bench
+refuses a cycle past the closed cap and leaves out each route past its
+own, poly --kind stanley takes the type cap, and verify's vanishing suite
+runs each route that accepts its input.
 poly --kind G|H|I|J is capped at |two_d| <= 120, and poly refuses the
 flag that its kind does not read.  verify walks one grid, the p x q with
 both sides <= --pq-max and at most 60 boxes, each rectangle built once
@@ -118,14 +120,13 @@ def _refusal(method: str, pi: Partition, p: int, q: int) -> str | None:
     return None
 
 
-def _evaluate(method: str, pi: Partition, p: int, q: int) -> int:
-    """The value of the character at pi on p x q by method, which must
-    accept them."""
-    if method == "oracle":
-        return normalized_character(pi, rectangle(p, q))
-    if method == "stanley":
-        return stanley_eval(pi, p, q)
-    return ch_rect_fast(pi.parts[0], p, q)
+# each evaluator looks its function up at call time, so a rebinding of this
+# module's name (a test's monkeypatch, a tracer's wrapper) reaches it
+_ROUTES = {
+    "closed": lambda pi, p, q: ch_rect_fast(pi.parts[0], p, q),
+    "oracle": lambda pi, p, q: normalized_character(pi, rectangle(p, q)),
+    "stanley": lambda pi, p, q: stanley_eval(pi, p, q),
+}
 
 
 # eval ----------------------------------------------------------------------
@@ -139,7 +140,7 @@ def _cmd_eval(args) -> int:
         print(f"eval: {why}", file=sys.stderr)
         return 2
     start = time.perf_counter_ns()
-    value = _evaluate(args.method, pi, p, q)
+    value = _ROUTES[args.method](pi, p, q)
     elapsed = time.perf_counter_ns() - start
     text = str(value)
     if args.format == "json":
@@ -222,29 +223,26 @@ def _grid(args) -> dict[tuple[int, int], Partition]:
 
 def _suite_oracle_match(args):
     grid = _grid(args)
-    for pi in _iter_cycle_types(min(args.k_max, TYPE_CAP)):
-        shown = str(pi)
-        for (p, q), shape in grid.items():
-            def check(pi=pi, p=p, q=q, shape=shape):
-                want = normalized_character(pi, shape)
-                got = stanley_eval(pi, p, q)
-                return got == want or f"stanley={got} oracle={want}"
-            yield f"oracle-match stanley pi={shown} p={p} q={q}", check
+    general = ((f"pi={pi}", pi)
+               for pi in _iter_cycle_types(min(args.k_max, TYPE_CAP)))
     # past GRID_CAP + 1 both sides are 0 on every rectangle of the grid
-    for k in range(1, min(args.k_max, GRID_CAP + 1) + 1):
-        pi = Partition((k,))
-        for (p, q), shape in grid.items():
-            def check(pi=pi, k=k, p=p, q=q, shape=shape):
-                want = normalized_character(pi, shape)
-                got = ch_rect_fast(k, p, q)
-                return got == want or f"closed={got} oracle={want}"
-            yield f"oracle-match closed k={k} p={p} q={q}", check
+    single = ((f"k={k}", Partition((k,)))
+              for k in range(1, min(args.k_max, GRID_CAP + 1) + 1))
+    for route, types in (("stanley", general), ("closed", single)):
+        for shown, pi in types:
+            for (p, q), shape in grid.items():
+                def check(pi=pi, p=p, q=q, shape=shape, route=route):
+                    want = normalized_character(pi, shape)
+                    got = _ROUTES[route](pi, p, q)
+                    return got == want or f"{route}={got} oracle={want}"
+                yield f"oracle-match {route} {shown} p={p} q={q}", check
 
 
 def _suite_transpose(args):
-    types = tuple(_iter_cycle_types(min(args.k_max, TYPE_CAP)))
-    for pi in types:
-        sign = -1 if (pi.size - pi.length) % 2 else 1
+    # each type with the sign of Ch_pi(q x p) against Ch_pi(p x q)
+    types = tuple((pi, -1 if (pi.size - pi.length) % 2 else 1)
+                  for pi in _iter_cycle_types(min(args.k_max, TYPE_CAP)))
+    for pi, sign in types:
         def check(pi=pi, sign=sign):
             poly = stanley_poly(pi)
             swapped, signed = poly.swap(), sign * poly
@@ -253,9 +251,8 @@ def _suite_transpose(args):
     grid = _grid(args)
     wide = tuple((p, q, shape, grid[q, p])
                  for (p, q), shape in grid.items() if q > p)
-    for pi in types:
+    for pi, sign in types:
         shown = str(pi)
-        sign = -1 if (pi.size - pi.length) % 2 else 1
         for p, q, shape, turned in wide:
             def check(pi=pi, p=p, q=q, shape=shape, turned=turned, sign=sign):
                 left = normalized_character(pi, turned)
@@ -287,8 +284,8 @@ def _suite_vanishing(args):
     for j in range(2, min(args.j_max, (CLOSED_CAP + 1) // 2) + 1):
         k, p, q = 2 * j - 1, 2 * j - 2, 2 * j + 1
         def check(pi=Partition((k,)), p=p, q=q):
-            return all(_evaluate(method, pi, p, q) == 0
-                       for method in ("closed", "stanley", "oracle")
+            return all(evaluate(pi, p, q) == 0
+                       for method, evaluate in _ROUTES.items()
                        if _refusal(method, pi, p, q) is None)
         yield f"vanishing j={j} cycle {k} rect {p}x{q}", check
 
@@ -400,11 +397,11 @@ def _cmd_bench(args) -> int:
     for k in args.k:
         pi = Partition((k,))
         values = {}
-        for method in ("closed", "oracle", "stanley"):
+        for method, evaluate in _ROUTES.items():
             if _refusal(method, pi, p, q) is not None:
                 continue
             start = time.perf_counter_ns()
-            value = _evaluate(method, pi, p, q)
+            value = evaluate(pi, p, q)
             elapsed = time.perf_counter_ns() - start
             values[method] = value
             rows.append([method, k, p, q, elapsed, str(value)])
@@ -428,8 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_eval = sub.add_parser("eval", help="evaluate one normalized character")
-    p_eval.add_argument("--method", choices=("oracle", "stanley", "closed"),
-                        required=True)
+    p_eval.add_argument("--method", choices=tuple(_ROUTES), required=True)
     p_eval.add_argument("--cycle", type=_cycle_type, required=True,
                         help="cycle type, e.g. 3 or 3,2")
     p_eval.add_argument("--p", type=_positive_int, required=True,

@@ -21,6 +21,7 @@ from rectchar.cli import (
     JM_CAP,
     ORACLE_WIDTH_CAP,
     TYPE_CAP,
+    _ROUTES,
     _grid,
     main,
 )
@@ -56,7 +57,7 @@ def test_help_exits_zero(capsys):
 
 
 def test_eval_table_all_methods(capsys):
-    for method in ("oracle", "stanley", "closed"):
+    for method in _ROUTES:
         code, out, err = run(capsys, "eval", "--method", method,
                              "--cycle", "3", "--p", "2", "--q", "2")
         assert code == 0 and err == ""
@@ -233,6 +234,32 @@ def test_general_routes_agree_at_the_type_cap(capsys):
         ("closed", "17"), ("oracle", "17"), ("stanley", "17"),
         ("closed", "24"), ("oracle", "24"), ("stanley", "24"),
         ("closed", "25")]
+
+
+# (cycle length, p, q) on each side of each route's cap: the type cap, the
+# oracle's p + q <= ORACLE_WIDTH_CAP and the closed cap
+CAP_EDGES = ((TYPE_CAP, 2, 3), (TYPE_CAP + 1, 2, 3),
+             (2, ORACLE_WIDTH_CAP // 2 - 1, ORACLE_WIDTH_CAP // 2 + 1),
+             (2, ORACLE_WIDTH_CAP // 2, ORACLE_WIDTH_CAP // 2 + 1),
+             (CLOSED_CAP, 1, 2), (CLOSED_CAP + 1, 1, 2))
+
+
+@pytest.mark.parametrize("method", list(_ROUTES))
+def test_eval_and_bench_agree_at_each_cap_edge(capsys, method):
+    # eval answers exactly where bench prints the method's row, with the
+    # same value, and refuses with no output where bench leaves it out
+    for k, p, q in CAP_EDGES:
+        sides = ("--p", str(p), "--q", str(q))
+        code, out, _ = run(capsys, "eval", "--method", method,
+                           "--cycle", str(k), *sides)
+        _, bench, _ = run(capsys, "bench", "--k", str(k), *sides)
+        rows = {row[0]: row[5]
+                for row in list(csv.reader(io.StringIO(bench)))[1:]}
+        assert (code == 0) == (method in rows), (k, p, q)
+        if code == 0:
+            assert table_fields(out)["value"] == rows[method], (k, p, q)
+        else:
+            assert code == 2 and out == "", (k, p, q)
 
 
 def test_eval_rejects_bad_cycle_type(capsys):

@@ -131,3 +131,24 @@ def test_a_bool_is_not_a_scalar():
             p * flag
         with pytest.raises(TypeError, match="an int or a Fraction"):
             flag * p
+
+
+def test_a_constant_hashes_like_the_number_it_equals():
+    # equal objects hash alike, so a set or a dict key holds them once
+    for ring in (BiPoly, DEPoly, JNPoly):
+        for number in (3, -1, Fraction(1, 2), Fraction(4, 2), 0):
+            poly = ring.constant(number)
+            assert poly == number and hash(poly) == hash(number)
+            assert len({poly, number}) == 1
+        assert ring.zero() == 0 and hash(ring.zero()) == hash(0)
+        assert len({ring.zero(), 0, Fraction(0)}) == 1
+
+
+def test_a_polynomial_never_equals_a_bool():
+    # a bool is not a number under the input rule, so 1 and 0 compare
+    # equal and True and False do not
+    for poly in (BiPoly.constant(1), BiPoly.zero(), JNPoly.constant(1)):
+        for flag in (True, False):
+            assert poly.__eq__(flag) is NotImplemented
+            assert poly != flag and flag != poly
+    assert BiPoly.constant(1) == 1 and BiPoly.zero() == 0
