@@ -23,10 +23,16 @@ runs each route that accepts its input.
 poly --kind G|H|I|J is capped at |two_d| <= 120, and poly refuses the
 flag that its kind does not read.  verify walks one grid, the p x q with
 both sides <= --pq-max and at most 60 boxes, each rectangle built once
-per suite, and runs each suite within caps of its own.  verify runs one
-case at a time and writes each case's line, in one write, as its check
-returns; --threads takes only 1, its one worker.
+per suite, and runs each suite within caps of its own.  A grid case's name
+is its type's head and its rectangle's label, each formatted once per
+suite.  verify runs one case at a time and writes each case's line, in one
+write, as its check returns; --threads takes only 1, its one worker.
 README's "Caps and exit codes" gives every cap with its measured cost.
+
+_COMMANDS, the one place a command is added, maps each command to its help
+text and the builder of its arguments.  main builds the parser of the
+invoked command only; help, no arguments and an unknown command build
+every command's, and both print the same help, usage and errors.
 
 Exit codes: 0 on success, 1 when a verification or cross-check fails, 2 on
 usage errors including cap violations.
@@ -222,7 +228,10 @@ def _grid(args) -> dict[tuple[int, int], Partition]:
 
 
 def _suite_oracle_match(args):
-    grid = _grid(args)
+    # a case's name is its type's head and its rectangle's label, each
+    # formatted once
+    grid = tuple((f"p={p} q={q}", p, q, shape)
+                 for (p, q), shape in _grid(args).items())
     general = ((f"pi={pi}", pi)
                for pi in _iter_cycle_types(min(args.k_max, TYPE_CAP)))
     # past GRID_CAP + 1 both sides are 0 on every rectangle of the grid
@@ -230,12 +239,13 @@ def _suite_oracle_match(args):
               for k in range(1, min(args.k_max, GRID_CAP + 1) + 1))
     for route, types in (("stanley", general), ("closed", single)):
         for shown, pi in types:
-            for (p, q), shape in grid.items():
+            head = f"oracle-match {route} {shown} "
+            for label, p, q, shape in grid:
                 def check(pi=pi, p=p, q=q, shape=shape, route=route):
                     want = normalized_character(pi, shape)
                     got = _ROUTES[route](pi, p, q)
                     return got == want or f"{route}={got} oracle={want}"
-                yield f"oracle-match {route} {shown} p={p} q={q}", check
+                yield head + label, check
 
 
 def _suite_transpose(args):
@@ -249,17 +259,17 @@ def _suite_transpose(args):
             return swapped == signed or f"swapped={swapped} signed={signed}"
         yield f"transpose poly pi={pi}", check
     grid = _grid(args)
-    wide = tuple((p, q, shape, grid[q, p])
+    wide = tuple((f"p={p} q={q}", p, q, shape, grid[q, p])
                  for (p, q), shape in grid.items() if q > p)
     for pi, sign in types:
-        shown = str(pi)
-        for p, q, shape, turned in wide:
+        head = f"transpose oracle pi={pi} "
+        for label, p, q, shape, turned in wide:
             def check(pi=pi, p=p, q=q, shape=shape, turned=turned, sign=sign):
                 left = normalized_character(pi, turned)
                 right = sign * normalized_character(pi, shape)
                 return left == right or (f"oracle({q}x{p})={left} "
                                          f"signed oracle({p}x{q})={right}")
-            yield f"transpose oracle pi={shown} p={p} q={q}", check
+            yield head + label, check
 
 
 def _suite_integrality(args):
@@ -418,56 +428,80 @@ def _cmd_bench(args) -> int:
 
 # wiring -----------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
+def _eval_arguments(parser) -> None:
+    parser.add_argument("--method", choices=tuple(_ROUTES), required=True)
+    parser.add_argument("--cycle", type=_cycle_type, required=True,
+                        help="cycle type, e.g. 3 or 3,2")
+    parser.add_argument("--p", type=_positive_int, required=True,
+                        help="number of rows")
+    parser.add_argument("--q", type=_positive_int, required=True,
+                        help="row length")
+    parser.add_argument("--format", choices=("table", "json", "csv"),
+                        default="table")
+    parser.set_defaults(func=_cmd_eval)
+
+
+def _poly_arguments(parser) -> None:
+    parser.add_argument("--kind", choices=("stanley", "G", "H", "I", "J"),
+                        required=True)
+    parser.add_argument("--cycle", type=_cycle_type,
+                        help="cycle type; kind stanley only")
+    parser.add_argument("--two-d", dest="two_d", type=int,
+                        help="twice the half-difference d; G/H/I/J only")
+    parser.set_defaults(func=_cmd_poly)
+
+
+def _verify_arguments(parser) -> None:
+    parser.add_argument("--suite", choices=_SUITES + ("all",), default="all")
+    parser.add_argument("--k-max", dest="k_max", type=_positive_int,
+                        default=6)
+    parser.add_argument("--pq-max", dest="pq_max", type=_positive_int,
+                        default=6)
+    parser.add_argument("--j-max", dest="j_max", type=_positive_int,
+                        default=4)
+    parser.add_argument("--threads", type=int, choices=(1,), default=1)
+    parser.set_defaults(func=_cmd_verify)
+
+
+def _bench_arguments(parser) -> None:
+    parser.add_argument("--k", type=_cycle_list, required=True,
+                        help="comma-separated cycle lengths")
+    parser.add_argument("--p", type=_positive_int, default=6)
+    parser.add_argument("--q", type=_positive_int, default=7)
+    parser.set_defaults(func=_cmd_bench)
+
+
+# each command, in the usage's order, to its help text and its arguments
+_COMMANDS = {
+    "eval": ("evaluate one normalized character", _eval_arguments),
+    "poly": ("print an exact polynomial", _poly_arguments),
+    "verify": ("run identity cross-checks", _verify_arguments),
+    "bench": ("time the methods against each other", _bench_arguments),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of the one command named."""
     parser = argparse.ArgumentParser(
         prog="rectchar",
         description="Exact rectangle characters of symmetric groups.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_eval = sub.add_parser("eval", help="evaluate one normalized character")
-    p_eval.add_argument("--method", choices=tuple(_ROUTES), required=True)
-    p_eval.add_argument("--cycle", type=_cycle_type, required=True,
-                        help="cycle type, e.g. 3 or 3,2")
-    p_eval.add_argument("--p", type=_positive_int, required=True,
-                        help="number of rows")
-    p_eval.add_argument("--q", type=_positive_int, required=True,
-                        help="row length")
-    p_eval.add_argument("--format", choices=("table", "json", "csv"),
-                        default="table")
-    p_eval.set_defaults(func=_cmd_eval)
-
-    p_poly = sub.add_parser("poly", help="print an exact polynomial")
-    p_poly.add_argument("--kind", choices=("stanley", "G", "H", "I", "J"),
-                        required=True)
-    p_poly.add_argument("--cycle", type=_cycle_type,
-                        help="cycle type; kind stanley only")
-    p_poly.add_argument("--two-d", dest="two_d", type=int,
-                        help="twice the half-difference d; G/H/I/J only")
-    p_poly.set_defaults(func=_cmd_poly)
-
-    p_verify = sub.add_parser("verify", help="run identity cross-checks")
-    p_verify.add_argument("--suite", choices=_SUITES + ("all",),
-                          default="all")
-    p_verify.add_argument("--k-max", dest="k_max", type=_positive_int,
-                          default=6)
-    p_verify.add_argument("--pq-max", dest="pq_max", type=_positive_int,
-                          default=6)
-    p_verify.add_argument("--j-max", dest="j_max", type=_positive_int,
-                          default=4)
-    p_verify.add_argument("--threads", type=int, choices=(1,), default=1)
-    p_verify.set_defaults(func=_cmd_verify)
-
-    p_bench = sub.add_parser("bench", help="time the methods against each other")
-    p_bench.add_argument("--k", type=_cycle_list, required=True,
-                         help="comma-separated cycle lengths")
-    p_bench.add_argument("--p", type=_positive_int, default=6)
-    p_bench.add_argument("--q", type=_positive_int, default=7)
-    p_bench.set_defaults(func=_cmd_bench)
+    # with one command built, the metavar keeps every command in the usage
+    # that an error past it prints; with all built it stays unset, so the
+    # missing and invalid-choice errors name the argument "command"
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar=None if command is None else "{" + ",".join(_COMMANDS) + "}")
+    for name in _COMMANDS if command is None else (command,):
+        text, add_arguments = _COMMANDS[name]
+        add_arguments(sub.add_parser(name, help=text))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # a named command builds its own parser only; help, no arguments and an
+    # unknown command build every command's
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

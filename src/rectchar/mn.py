@@ -48,10 +48,8 @@ __all__ = ["normalized_character"]
 
 
 def _beads(parts: tuple[int, ...]) -> int:
-    # the beta-set bitmask of a valid shape; a rectangle is one run
+    # the beta-set bitmask of a valid shape
     rows = len(parts)
-    if rows and parts[0] == parts[-1]:
-        return ((1 << rows) - 1) << parts[0]
     mask = 0
     for i, row in enumerate(parts):
         mask |= 1 << (row + rows - 1 - i)
@@ -153,10 +151,14 @@ def normalized_character(cycle, shape) -> int:
     shape = shape.parts if type(shape) is Partition else Partition(shape).parts
     cycle = cycle.parts if type(cycle) is Partition else Partition(cycle).parts
     k, parts, m = _split(cycle)
-    n = sum(shape)
+    rows = len(shape)
+    if rows and shape[0] == shape[-1]:  # a rectangle, its beads one run
+        n, mask = rows * shape[0], ((1 << rows) - 1) << shape[0]
+    else:
+        n, mask = sum(shape), _beads(shape)
     if n < k:
         return 0
     if not parts:
         return perm(n, k)
-    return perm(n - m, k - m) * _ch(_beads(shape), parts)
+    return perm(n - m, k - m) * _ch(mask, parts)
 

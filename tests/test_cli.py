@@ -21,8 +21,10 @@ from rectchar.cli import (
     JM_CAP,
     ORACLE_WIDTH_CAP,
     TYPE_CAP,
+    _COMMANDS,
     _ROUTES,
     _grid,
+    build_parser,
     main,
 )
 from rectchar.mn import normalized_character
@@ -54,6 +56,37 @@ def test_help_exits_zero(capsys):
     code, out, _ = run(capsys, "--help")
     assert code == 0
     assert "eval" in out and "verify" in out
+
+
+@pytest.mark.parametrize("argv", [
+    (), ("bogus",), ("--help",), ("-h", "verify"),
+    ("eval", "--help"), ("poly", "--help"), ("verify", "--help"),
+    ("bench", "--help"),
+    ("eval", "--bogus"), ("poly", "--bogus"), ("verify", "--bogus"),
+    ("bench", "--bogus"),
+    ("eval", "--method", "x"), ("poly", "--kind", "x"),
+    ("verify", "--suite", "nope"), ("bench", "--k", "0"),
+    ("verify", "extra"),
+], ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_main_prints_what_the_parser_of_every_command_prints(capsys, argv):
+    # main builds only the named command's parser; its help, usage and
+    # errors, exit codes included, are those of the parser of them all
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    want = exc.value.code, *capsys.readouterr()
+    assert run(capsys, *argv) == want
+
+
+def test_main_builds_only_the_named_commands_parser(capsys, monkeypatch):
+    def refuse(parser):
+        raise AssertionError("built a parser that was not invoked")
+
+    commands = {name: (text, refuse if name != "verify" else add_arguments)
+                for name, (text, add_arguments) in _COMMANDS.items()}
+    monkeypatch.setattr("rectchar.cli._COMMANDS", commands)
+    code, out, _ = run(capsys, "verify", "--suite", "jm", "--k-max", "1")
+    assert code == 0
+    assert out == "PASS jm factorization k=1\nverify: 1 passed, 0 failed\n"
 
 
 def test_eval_table_all_methods(capsys):
@@ -454,7 +487,14 @@ def test_verify_all_suites_small_bounds(capsys):
      "verify: 3579 passed, 0 failed"),
     ((), "231458fb4770b3e686be5f83cb1a7e21c7ae4465d31576936dab09520830fde5",
      "verify: 1822 passed, 0 failed"),
-], ids=("k7-pq7", "defaults"))
+    # two-digit sides in the names, the last --suite read
+    (("--suite", "oracle-match", "--k-max", "2", "--pq-max", "60"),
+     "872fd64575a3c1507c5a2d57e6bbf7fe14d3258c43da0968b21a67c6bd6f67e5",
+     "verify: 1305 passed, 0 failed"),
+    (("--suite", "transpose", "--k-max", "2", "--pq-max", "60"),
+     "a6650b3e066737d0de490784fe482e529016ce228741c7ca0f056b536652c81b",
+     "verify: 384 passed, 0 failed"),
+], ids=("k7-pq7", "defaults", "oracle-match-pq60", "transpose-pq60"))
 def test_verify_case_list_is_pinned(capsys, argv, digest, summary):
     # every case name, its order and its outcome, as a digest of stdout
     code, out, _ = run(capsys, "verify", "--suite", "all", *argv)
