@@ -23,7 +23,10 @@ runs each route that accepts its input.
 poly --kind G|H|I|J is capped at |two_d| <= 120, and poly refuses the
 flag that its kind does not read.  verify walks one grid, the p x q with
 both sides <= --pq-max and at most 60 boxes, each rectangle built once
-per suite, and runs each suite within caps of its own.  A grid case's name
+per suite, and runs each suite within caps of its own.  --k-max bounds
+every suite's cycle size, and each cap is a cycle length: vanishing,
+leading-catalan and basis take the odd cycles 2j - 1 <= --k-max, their
+cases named by j.  A grid case's name
 is its type's head and its rectangle's label, each formatted once per
 suite.  verify runs one case at a time and writes each case's line, in one
 write, as its check returns; --threads takes only 1, its one worker.
@@ -291,7 +294,7 @@ def _suite_integrality(args):
 
 
 def _suite_vanishing(args):
-    for j in range(2, min(args.j_max, (CLOSED_CAP + 1) // 2) + 1):
+    for j in range(2, (min(args.k_max, CLOSED_CAP) + 1) // 2 + 1):
         k, p, q = 2 * j - 1, 2 * j - 2, 2 * j + 1
         def check(pi=Partition((k,)), p=p, q=q):
             return all(evaluate(pi, p, q) == 0
@@ -306,7 +309,7 @@ def _suite_jm(args):
 
 
 def _suite_leading_catalan(args):
-    for j in range(1, min(args.j_max, (TYPE_CAP + 1) // 2) + 1):
+    for j in range(1, (min(args.k_max, TYPE_CAP) + 1) // 2 + 1):
         def check(j=j):
             got = leading_square_coeff(j)
             want = (-1 if j % 2 == 0 else 1) * catalan(j - 1)
@@ -315,8 +318,7 @@ def _suite_leading_catalan(args):
 
 
 def _suite_basis(args):
-    top = min(args.j_max, (TYPE_CAP + 1) // 2)
-    for j in range(1, top + 1):
+    for j in range(1, (min(args.k_max, TYPE_CAP) + 1) // 2 + 1):
         def check(j=j):
             poly = substitute_ed(stanley_poly(Partition((2 * j - 1,))))
             entries = decompose_even_basis(poly, j)
@@ -457,8 +459,6 @@ def _verify_arguments(parser) -> None:
                         default=6)
     parser.add_argument("--pq-max", dest="pq_max", type=_positive_int,
                         default=6)
-    parser.add_argument("--j-max", dest="j_max", type=_positive_int,
-                        default=4)
     parser.add_argument("--threads", type=int, choices=(1,), default=1)
     parser.set_defaults(func=_cmd_verify)
 
@@ -502,18 +502,16 @@ def main(argv=None) -> int:
     # a named command builds its own parser only; help, no arguments and an
     # unknown command build every command's
     parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    # values past 4300 digits are printed too; Python 3.10 has no such limit
-    set_limit = getattr(sys, "set_int_max_str_digits", None)
-    if set_limit is None:
-        return args.func(args)
-    limit = sys.get_int_max_str_digits()
+    # sides and values past 4300 digits parse and print too, and the limit
+    # comes back on every exit; a Python without the limit has neither call
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    set_limit = getattr(sys, "set_int_max_str_digits", lambda digits: None)
     set_limit(0)
     try:
+        args = parser.parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:
+        return exc.code if isinstance(exc.code, int) else 2
     finally:
         set_limit(limit)
 

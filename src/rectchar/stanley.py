@@ -9,7 +9,8 @@ alike.  Fixed points leave before it: by the definition of the normalized
 character, Ch_{pi u 1^m}(p x q) = Ch_pi(p x q) times the falling factorial
 (pq - |pi|) (pq - |pi| - 1) ... (pq - |pi| - m + 1), so the evaluators
 build the table of the non-unit parts of pi only, once per such core, and
-multiply by that one factor; 1^n builds no table.  The table itself still
+multiply by that one factor; 1^n builds no table, and the empty type has
+value 1 at every side, as the oracle gives it.  The table itself still
 takes any type, unit parts included.  What depends on the cycle type alone
 is split once per type into a plan: |core|, the number m of unit parts and
 the core's table, held by reference, not copied; the last 128 types keep
@@ -252,11 +253,8 @@ def _joint_cycle_table(parts: tuple[int, ...]) -> tuple:
 
 
 def _type_parts(pi) -> tuple[int, ...]:
-    # the parts of the cycle type pi, validated and non-empty
-    parts = pi.parts if isinstance(pi, Partition) else Partition(pi).parts
-    if not parts:
-        raise ValueError("cycle type must be non-empty")
-    return parts
+    # the parts of the cycle type pi, validated; () is the empty type
+    return pi.parts if isinstance(pi, Partition) else Partition(pi).parts
 
 
 @lru_cache(maxsize=128)

@@ -60,18 +60,6 @@ class Partition:
     def length(self) -> int:
         return len(self.parts)
 
-    def __len__(self) -> int:
-        return len(self.parts)
-
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __getitem__(self, i: int) -> int:
-        return self.parts[i]
-
-    def __bool__(self) -> bool:
-        return bool(self.parts)
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Partition):
             return self.parts == other.parts

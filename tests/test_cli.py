@@ -172,6 +172,26 @@ def test_eval_prints_values_past_4300_digits(capsys):
     assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
 
+def test_eval_parses_sides_past_4300_digits(capsys):
+    # a side is read with the limit lifted too, and every exit of main, a
+    # usage error included, puts the interpreter's limit back
+    p = 10 ** 5000
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    side = "1" + "0" * 5000
+    code, out, err = run(capsys, "eval", "--method", "closed", "--cycle", "3",
+                         "--p", side, "--q", side[:-1] + "2")
+    assert code == 0 and err == ""
+    fields = table_fields(out)
+    assert parse_past_the_digit_limit(fields["p"]) == p
+    assert parse_past_the_digit_limit(fields["value"]) == ch_rect_fast(
+        3, p, p + 2)
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+    code, out, err = run(capsys, "eval", "--method", "closed", "--cycle", "3",
+                         "--p", side)
+    assert code == 2 and out == "" and "--q" in err
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
 def test_eval_cap_violations(capsys):
     past = ",".join(["2"] * (TYPE_CAP // 2) + ["1"])
     for method in ("oracle", "stanley"):
@@ -466,7 +486,7 @@ def test_verify_vanishing_stops_at_the_closed_cap(capsys, monkeypatch):
                         lambda pi, shape: 0)
     monkeypatch.setattr("rectchar.cli.stanley_eval", lambda pi, p, q: 0)
     code, out, _ = run(capsys, "verify", "--suite", "vanishing",
-                       "--j-max", str(CLOSED_CAP + 10))
+                       "--k-max", str(CLOSED_CAP + 10))
     assert code == 0
     top = (CLOSED_CAP + 1) // 2
     assert lengths == [2 * j - 1 for j in range(2, top + 1)]
@@ -474,10 +494,14 @@ def test_verify_vanishing_stops_at_the_closed_cap(capsys, monkeypatch):
 
 
 def test_verify_all_suites_small_bounds(capsys):
+    # the 3-cycle is the first that vanishing checks
     code, out, _ = run(capsys, "verify", "--suite", "all",
-                       "--k-max", "2", "--pq-max", "2", "--j-max", "2")
+                       "--k-max", "3", "--pq-max", "2")
     assert code == 0
     assert "FAIL" not in out
+    assert all(f"PASS {case}" in out for case in ("vanishing j=2",
+                                                  "leading-catalan j=2",
+                                                  "basis j=2"))
     assert out.splitlines()[-1].endswith("0 failed")
 
 
@@ -485,8 +509,8 @@ def test_verify_all_suites_small_bounds(capsys):
     (("--k-max", "7", "--pq-max", "7", "--threads", "1"),
      "51252d25b8d158788fa1175eaf06ea9dcedbd1e1a584c516cecb5464a0ea4036",
      "verify: 3579 passed, 0 failed"),
-    ((), "231458fb4770b3e686be5f83cb1a7e21c7ae4465d31576936dab09520830fde5",
-     "verify: 1822 passed, 0 failed"),
+    ((), "38a4a44265bb15c1b7b2fe1f59b970c4579801a40f0acc7c2a861e2cb4e51aca",
+     "verify: 1819 passed, 0 failed"),
     # two-digit sides in the names, the last --suite read
     (("--suite", "oracle-match", "--k-max", "2", "--pq-max", "60"),
      "872fd64575a3c1507c5a2d57e6bbf7fe14d3258c43da0968b21a67c6bd6f67e5",
@@ -607,7 +631,7 @@ def test_verify_checks_the_leading_coefficient(capsys, monkeypatch):
     # the suite compares with the signed Catalan number; any int is not enough
     monkeypatch.setattr("rectchar.cli.leading_square_coeff", lambda j: 7)
     code, out, _ = run(capsys, "verify", "--suite", "leading-catalan",
-                       "--j-max", "2")
+                       "--k-max", "3")
     assert code == 1
     assert out.splitlines() == [
         "FAIL leading-catalan j=1: coefficient=7 signed catalan=1",
@@ -619,7 +643,7 @@ def test_verify_checks_the_leading_coefficient(capsys, monkeypatch):
 def test_verify_shows_both_sides_of_a_broken_transpose(capsys, monkeypatch):
     def off_by_one_when_tall(pi, shape):
         value = normalized_character(pi, shape)
-        return value + 1 if len(shape) > shape[0] else value
+        return value + 1 if len(shape.parts) > shape.parts[0] else value
 
     monkeypatch.setattr("rectchar.cli.normalized_character",
                         off_by_one_when_tall)

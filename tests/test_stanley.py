@@ -381,10 +381,15 @@ def test_stanley_eval_examples():
     assert stanley_eval(Partition((2,)), 2, 3) == 6
     assert stanley_eval(Partition((3,)), 2, 2) == -12
     assert stanley_eval(Partition((2, 2)), 2, 2) == 24
-    with pytest.raises(ValueError):
-        stanley_eval(Partition(()), 2, 2)
-    with pytest.raises(ValueError):
-        stanley_poly(Partition(()))
+    # the empty type has the oracle's value 1 at int and Fraction sides
+    empty = Partition(())
+    want = normalized_character(empty, rectangle(2, 2))
+    assert want == 1
+    assert stanley_eval(empty, 2, 2) == want
+    assert type(stanley_eval(empty, 2, 2)) is int
+    assert stanley_eval(empty, Fraction(1, 3), Fraction(-5, 2)) == want
+    assert type(stanley_eval(empty, Fraction(1, 3), 2)) is Fraction
+    assert stanley_poly(empty) == BiPoly.constant(want)
 
 
 def test_stanley_eval_refuses_inexact_sides():
@@ -447,13 +452,15 @@ def test_raw_cycle_types_are_still_validated():
     assert stanley_eval((2, 2), 2, 2) == 24
     assert stanley_eval([3], 2, 2) == -12
     assert str(stanley_poly([2])) == str(stanley_poly(Partition((2,))))
+    # the empty type is valid, with the oracle's value
+    empty = normalized_character((), rectangle(2, 2))
+    assert stanley_eval((), 2, 2) == empty
+    assert stanley_poly([]) == BiPoly.constant(empty)
     for fn in (lambda pi: stanley_eval(pi, 2, 2), stanley_poly):
         with pytest.raises(ValueError, match="weakly decreasing"):
             fn((2, 3))
         with pytest.raises(ValueError, match="positive"):
             fn((2, 0))
-        with pytest.raises(ValueError, match="non-empty"):
-            fn(())
         with pytest.raises(TypeError, match="must be an int"):
             fn((2.7, 1))
 
