@@ -29,7 +29,10 @@ leading-catalan and basis take the odd cycles 2j - 1 <= --k-max, their
 cases named by j.  A grid case's name
 is its type's head and its rectangle's label, each formatted once per
 suite.  verify runs one case at a time and writes each case's line, in one
-write, as its check returns; --threads takes only 1, its one worker.
+write, as its check returns; --threads takes only 1, its one worker.  A
+check passes only by returning True; anything else it returns, or the
+exception it raises as "Type: message", is the reason it failed, so a FAIL
+line always reads "FAIL <name>: <reason>".
 README's "Caps and exit codes" gives every cap with its measured cost.
 
 _COMMANDS, the one place a command is added, maps each command to its help
@@ -280,16 +283,18 @@ def _suite_integrality(args):
     for two_d in range(-top, top + 1):
         for parity in ("odd", "even"):
             def check(two_d=two_d, parity=parity):
-                poly = corollary_poly(two_d, parity)
-                return all(isinstance(c, int)
-                           for c in poly.terms().values())
+                terms = corollary_poly(two_d, parity).terms()
+                bad = {key: c for key, c in terms.items()
+                       if not isinstance(c, int)}
+                return not bad or f"non-integer coefficients {bad}"
             yield f"integrality family two_d={two_d} parity={parity}", check
     # the witnesses over the families' own range of d
     k_top = min(args.k_max, FAMILY_CAP)
     for d in range(-top, top + 1):
         def check(d=d):
-            return all(integrality_witness(d, k).denominator == 1
-                       for k in range(1, k_top + 1))
+            bad = [f"k={k}: {w}" for k in range(1, k_top + 1)
+                   if (w := integrality_witness(d, k)).denominator != 1]
+            return not bad or "non-integer witnesses " + ", ".join(bad)
         yield f"integrality witness d={d} k<={k_top}", check
 
 
@@ -297,15 +302,21 @@ def _suite_vanishing(args):
     for j in range(2, (min(args.k_max, CLOSED_CAP) + 1) // 2 + 1):
         k, p, q = 2 * j - 1, 2 * j - 2, 2 * j + 1
         def check(pi=Partition((k,)), p=p, q=q):
-            return all(evaluate(pi, p, q) == 0
+            nonzero = [f"{method}={value}"
                        for method, evaluate in _ROUTES.items()
-                       if _refusal(method, pi, p, q) is None)
+                       if _refusal(method, pi, p, q) is None
+                       and (value := evaluate(pi, p, q)) != 0]
+            return not nonzero or " ".join(nonzero)
         yield f"vanishing j={j} cycle {k} rect {p}x{q}", check
 
 
 def _suite_jm(args):
     for k in range(1, min(args.k_max, JM_CAP) + 1):
-        yield f"jm factorization k={k}", lambda k=k: jm_factorization_check(k)
+        # the library answers with a bool only
+        def check(k=k):
+            return jm_factorization_check(k) or (
+                f"(1 + J_1)...(1 + J_{k}) is not the sum of S_{k}")
+        yield f"jm factorization k={k}", check
 
 
 def _suite_leading_catalan(args):
@@ -330,14 +341,14 @@ def _suite_basis(args):
                 for r in range(k, j):
                     expected = expected * (e2 - r * r)
                 if entry != expected:
-                    return False
+                    return f"entry {k}={entry} expected={expected}"
             rebuilt = DEPoly.zero()
             for k, entry in enumerate(entries):
                 basis = DEPoly.constant(1)
                 for r in range(k):
                     basis = basis * (d2 - r * r)
                 rebuilt = rebuilt + entry * basis
-            return rebuilt == poly
+            return rebuilt == poly or f"rebuilt={rebuilt} poly={poly}"
         yield f"basis j={j} cycle {2 * j - 1}", check
 
 
@@ -345,18 +356,22 @@ def _suite_minus_one(args):
     p, q = BiPoly({(1, 0): 1}), BiPoly({(0, 1): 1})
     for k in range(1, min(args.k_max, TYPE_CAP) + 1):
         def check(k=k):
-            # the products at the formal sides, as coefficients in Q or P
-            poly = stanley_poly(Partition((k,)))
+            # the products at the formal sides, as coefficients in Q or P,
+            # then at the sides -1 x 7 and 7 x -1
+            pi = Partition((k,))
+            poly = stanley_poly(pi)
             row = minus_one_row_char(k, q).terms()
-            if poly.substitute_p(-1) != {b: c for (_, b), c in row.items()}:
-                return False
             col = minus_one_col_char(k, p).terms()
-            if poly.substitute_q(-1) != {a: c for (a, _), c in col.items()}:
-                return False
-            return (stanley_eval(Partition((k,)), -1, 7)
-                    == minus_one_row_char(k, 7)
-                    and stanley_eval(Partition((k,)), 7, -1)
-                    == minus_one_col_char(k, 7))
+            sides = (
+                ("p=-1", poly.substitute_p(-1),
+                 {b: c for (_, b), c in row.items()}),
+                ("q=-1", poly.substitute_q(-1),
+                 {a: c for (a, _), c in col.items()}),
+                ("-1x7", stanley_eval(pi, -1, 7), minus_one_row_char(k, 7)),
+                ("7x-1", stanley_eval(pi, 7, -1), minus_one_col_char(k, 7)))
+            bad = [f"at {at}: stanley={got} product={want}"
+                   for at, got, want in sides if got != want]
+            return not bad or "; ".join(bad)
         yield f"minus-one k={k}", check
 
 
@@ -378,20 +393,19 @@ def _cmd_verify(args) -> int:
     write = sys.stdout.write
     passes = failures = 0
     # one case at a time, its line written once as its check returns; a
-    # check passes with a true value and may fail with a string that shows
-    # the values that disagreed
+    # check passes only by returning True, and anything else it returns, or
+    # the exception it raises, is the reason it failed
     for suite in selected:
         for name, check in _SUITE_BUILDERS[suite](args):
             try:
-                passed = check()
+                result = check()
             except Exception as exc:
-                passed = f"{type(exc).__name__}: {exc}"
-            if passed and not isinstance(passed, str):
+                result = f"{type(exc).__name__}: {exc}"
+            if result is True:
                 write(f"PASS {name}\n")
                 passes += 1
             else:
-                write(f"FAIL {name}: {passed}\n" if isinstance(passed, str)
-                      else f"FAIL {name}\n")
+                write(f"FAIL {name}: {result}\n")
                 failures += 1
     write(f"verify: {passes} passed, {failures} failed\n")
     return 1 if failures else 0

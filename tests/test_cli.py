@@ -5,6 +5,7 @@ import csv
 import hashlib
 import io
 import json
+import re
 import sys
 import time
 from argparse import Namespace
@@ -12,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from rectchar._poly import BiPoly
+from rectchar._poly import BiPoly, DEPoly, JNPoly
 from rectchar.closed import ch_rect_fast
 from rectchar.cli import (
     CLOSED_CAP,
@@ -28,7 +29,7 @@ from rectchar.cli import (
     main,
 )
 from rectchar.mn import normalized_character
-from rectchar.stanley import stanley_eval
+from rectchar.stanley import decompose_even_basis, stanley_eval
 from rectchar.young import partitions, rectangle
 
 
@@ -322,6 +323,21 @@ def test_eval_rejects_bad_cycle_type(capsys):
     assert "bad cycle type" in err
 
 
+@pytest.mark.parametrize("flag, text, message", [
+    ("--p", "x", "not an integer: 'x'"),
+    ("--p", "0", "must be positive: 0"),
+    ("--cycle", "3,a", "bad cycle type: '3,a'"),
+])
+def test_eval_refuses_an_argument_of_the_wrong_type(capsys, flag, text,
+                                                     message):
+    flags = {"--cycle": "3", "--p": "2", "--q": "2", flag: text}
+    argv = [word for pair in flags.items() for word in pair]
+    code, out, err = run(capsys, "eval", "--method", "oracle", *argv)
+    assert code == 2
+    assert message in err
+    assert out == ""
+
+
 def test_poly_outputs(capsys):
     code, out, _ = run(capsys, "poly", "--kind", "stanley", "--cycle", "2")
     assert code == 0
@@ -594,6 +610,16 @@ def test_verify_reports_failures(capsys, monkeypatch):
     assert out.splitlines()[-1] == "verify: 2 passed, 1 failed"
 
 
+def test_verify_passes_a_case_only_on_true(capsys, monkeypatch):
+    # a true value other than True is the reason the case failed
+    monkeypatch.setattr("rectchar.cli.jm_factorization_check",
+                        lambda k: {"k": k})
+    code, out, _ = run(capsys, "verify", "--suite", "jm", "--k-max", "1")
+    assert code == 1
+    assert out.splitlines() == ["FAIL jm factorization k=1: {'k': 1}",
+                                "verify: 0 passed, 1 failed"]
+
+
 def test_verify_names_the_exception_of_a_raising_case(capsys, monkeypatch):
     def check(k):
         if k == 2:
@@ -653,6 +679,43 @@ def test_verify_shows_both_sides_of_a_broken_transpose(capsys, monkeypatch):
     assert ("FAIL transpose oracle pi=[2] p=1 q=2: "
             "oracle(2x1)=-1 signed oracle(1x2)=-2") in out.splitlines()
     assert out.splitlines()[-1] == "verify: 3 passed, 3 failed"
+
+
+@pytest.mark.parametrize("name, replacement, argv, line", [
+    ("corollary_poly", lambda two_d, parity: JNPoly({(1, 0): Fraction(1, 2)}),
+     ("integrality", "1"),
+     "FAIL integrality family two_d=0 parity=odd: "
+     "non-integer coefficients {(1, 0): Fraction(1, 2)}"),
+    ("integrality_witness", lambda d, k: Fraction(k, 2),
+     ("integrality", "3"),
+     "FAIL integrality witness d=0 k<=3: "
+     "non-integer witnesses k=1: 1/2, k=3: 3/2"),
+    ("ch_rect_fast", lambda k, p, q: 1, ("vanishing", "3"),
+     "FAIL vanishing j=2 cycle 3 rect 2x5: closed=1"),
+    ("jm_factorization_check", lambda k: False, ("jm", "2"),
+     "FAIL jm factorization k=2: "
+     "(1 + J_1)...(1 + J_2) is not the sum of S_2"),
+    ("decompose_even_basis", lambda poly, j: [DEPoly.constant(1)] * (j + 1),
+     ("basis", "1"), "FAIL basis j=1 cycle 1: entry 0=1 expected=1*E^2"),
+    ("decompose_even_basis",
+     lambda poly, j: decompose_even_basis(poly, j)[:-1], ("basis", "1"),
+     "FAIL basis j=1 cycle 1: rebuilt=1*E^2 poly=-1*D^2 + 1*E^2"),
+    ("stanley_eval", lambda pi, p, q: 0, ("minus-one", "1"),
+     "FAIL minus-one k=1: "
+     "at -1x7: stanley=0 product=-7; at 7x-1: stanley=0 product=-7"),
+], ids=("integrality-family", "integrality-witness", "vanishing", "jm",
+        "basis-entry", "basis-rebuilt", "minus-one"))
+def test_every_fail_line_ends_with_its_reason(capsys, monkeypatch, name,
+                                             replacement, argv, line):
+    monkeypatch.setattr(f"rectchar.cli.{name}", replacement)
+    suite, k_max = argv
+    code, out, _ = run(capsys, "verify", "--suite", suite, "--k-max", k_max)
+    assert code == 1
+    lines = out.splitlines()
+    assert line in lines
+    assert all(re.fullmatch(r"PASS .+|FAIL [^:]+: \S.*"
+                            r"|verify: \d+ passed, \d+ failed", each)
+               for each in lines), out
 
 
 def test_bench_orders_rows_and_agrees(capsys):

@@ -165,6 +165,17 @@ def test_corollary_poly_rejects_bad_parity():
         corollary_poly(2, "mixed")
 
 
+def test_the_closed_routes_refuse_a_division_with_a_remainder(monkeypatch):
+    # each ends in one checked division: with every product of odd numbers
+    # read as 1, the denominator keeps factors the steps could not divide
+    # out of the numerator
+    monkeypatch.setattr("rectchar.closed.prod", lambda factors: 1)
+    with pytest.raises(ArithmeticError, match="non-integer coefficient"):
+        corollary_poly(3, "even")
+    with pytest.raises(ArithmeticError, match="non-integer character value"):
+        ch_rect_fast(4, 2, 5)
+
+
 def test_ch_rect_fast_examples():
     assert ch_rect_fast(3, 2, 2) == -12
     assert ch_rect_fast(3, 2, 5) == 0

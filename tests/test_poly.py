@@ -102,7 +102,10 @@ def test_printing():
         "-1*D^2 + 1*E^2 + 1/4")
     assert str(JNPoly({(0, 1): 1, (2, 0): -2, (1, 0): 1, (0, 0): 1})) == (
         "N - 2*J^2 + J + 1")
+    assert str(JNPoly({(1, 0): -1, (0, 0): 1})) == "-J + 1"
     assert str(BiPoly()) == "0"
+    assert repr(DEPoly({(0, 2): Fraction(1, 4)})) == (
+        "DEPoly({(0, 2): Fraction(1, 4)})")
 
 
 def test_a_number_scales_each_coefficient():

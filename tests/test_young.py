@@ -39,7 +39,11 @@ def test_partition_validation():
 def test_partition_protocols():
     lam = Partition((4, 2, 1))
     assert str(lam) == "[4,2,1]"
+    assert repr(lam) == "Partition([4, 2, 1])"
     assert lam == Partition([4, 2, 1])
+    # a tuple of the same parts is not a partition
+    assert lam.__eq__((4, 2, 1)) is NotImplemented
+    assert lam != (4, 2, 1)
     assert hash(lam) == hash(Partition((4, 2, 1)))
     assert Partition(lam).parts is lam.parts
 
