@@ -32,7 +32,9 @@ suite.  verify runs one case at a time and writes each case's line, in one
 write, as its check returns; --threads takes only 1, its one worker.  A
 check passes only by returning True; anything else it returns, or the
 exception it raises as "Type: message", is the reason it failed, so a FAIL
-line always reads "FAIL <name>: <reason>".
+line always reads "FAIL <name>: <reason>".  A command refuses its input
+by returning the reason, and main alone prints it as "<command>: <reason>"
+on stderr, with nothing on stdout, and returns 2.
 README's "Caps and exit codes" gives every cap with its measured cost.
 
 _COMMANDS, the one place a command is added, maps each command to its help
@@ -92,24 +94,23 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _cycle_type(text: str) -> Partition:
+def _positive_ints(text: str, what: str) -> list[int]:
+    """The comma list text as positive integers, else "bad <what>: ..."."""
     try:
-        parts = [int(x) for x in text.split(",")]
+        values = [int(x) for x in text.split(",")]
+        if min(values) >= 1:
+            return values
     except ValueError:
-        raise argparse.ArgumentTypeError(f"bad cycle type: {text!r}")
-    if not parts or any(x < 1 for x in parts):
-        raise argparse.ArgumentTypeError(f"bad cycle type: {text!r}")
-    return Partition(sorted(parts, reverse=True))
+        pass
+    raise argparse.ArgumentTypeError(f"bad {what}: {text!r}")
+
+
+def _cycle_type(text: str) -> Partition:
+    return Partition(sorted(_positive_ints(text, "cycle type"), reverse=True))
 
 
 def _cycle_list(text: str) -> tuple[int, ...]:
-    try:
-        ks = sorted({int(x) for x in text.split(",")})
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad cycle list: {text!r}")
-    if not ks or ks[0] < 1:
-        raise argparse.ArgumentTypeError(f"bad cycle list: {text!r}")
-    return tuple(ks)
+    return tuple(sorted(set(_positive_ints(text, "cycle list"))))
 
 
 # methods -------------------------------------------------------------------
@@ -143,14 +144,12 @@ _ROUTES = {
 
 # eval ----------------------------------------------------------------------
 
-def _cmd_eval(args) -> int:
+def _cmd_eval(args) -> int | str:
     pi: Partition = args.cycle
     p, q = args.p, args.q
     n = p * q
-    why = _refusal(args.method, pi, p, q)
-    if why is not None:
-        print(f"eval: {why}", file=sys.stderr)
-        return 2
+    if (why := _refusal(args.method, pi, p, q)) is not None:
+        return why
     start = time.perf_counter_ns()
     value = _ROUTES[args.method](pi, p, q)
     elapsed = time.perf_counter_ns() - start
@@ -177,40 +176,29 @@ def _cmd_eval(args) -> int:
 
 # poly ----------------------------------------------------------------------
 
-def _cmd_poly(args) -> int:
+def _cmd_poly(args) -> int | str:
     if args.kind == "stanley":
         if args.two_d is not None:
-            print("poly: --two-d does not apply to kind stanley",
-                  file=sys.stderr)
-            return 2
+            return "--two-d does not apply to kind stanley"
         if args.cycle is None:
-            print("poly: --cycle is required for kind stanley", file=sys.stderr)
-            return 2
+            return "--cycle is required for kind stanley"
         # the type cap does not depend on the sides
-        why = _refusal("stanley", args.cycle, 1, 1)
-        if why is not None:
-            print(f"poly: {why}", file=sys.stderr)
-            return 2
+        if (why := _refusal("stanley", args.cycle, 1, 1)) is not None:
+            return why
         print(stanley_poly(args.cycle))
         return 0
     if args.cycle is not None:
-        print(f"poly: --cycle does not apply to kind {args.kind}",
-              file=sys.stderr)
-        return 2
+        return f"--cycle does not apply to kind {args.kind}"
     if args.two_d is None:
-        print(f"poly: --two-d is required for kind {args.kind}",
-              file=sys.stderr)
-        return 2
+        return f"--two-d is required for kind {args.kind}"
     if abs(args.two_d) > FAMILY_CAP:
-        print(f"poly: kind {args.kind} is capped at |two-d| <= {FAMILY_CAP}, "
-              f"got {args.two_d}", file=sys.stderr)
-        return 2
+        return (f"kind {args.kind} is capped at |two-d| <= {FAMILY_CAP}, "
+                f"got {args.two_d}")
     needs_even = args.kind in ("G", "I")
     if needs_even != (args.two_d % 2 == 0):
         wanted = "even" if needs_even else "odd"
-        print(f"poly: kind {args.kind} needs a two-d of {wanted} parity, "
-              f"got {args.two_d}", file=sys.stderr)
-        return 2
+        return (f"kind {args.kind} needs a two-d of {wanted} parity, "
+                f"got {args.two_d}")
     cycle_parity = "odd" if args.kind in ("G", "H") else "even"
     print(corollary_poly(args.two_d, cycle_parity))
     return 0
@@ -413,12 +401,10 @@ def _cmd_verify(args) -> int:
 
 # bench ------------------------------------------------------------------------
 
-def _cmd_bench(args) -> int:
+def _cmd_bench(args) -> int | str:
     p, q = args.p, args.q
-    why = _refusal("closed", Partition((args.k[-1],)), p, q)
-    if why is not None:
-        print(f"bench: {why}", file=sys.stderr)
-        return 2
+    if (why := _refusal("closed", Partition((args.k[-1],)), p, q)) is not None:
+        return why
     rows = []
     for k in args.k:
         pi = Partition((k,))
@@ -523,7 +509,12 @@ def main(argv=None) -> int:
     set_limit(0)
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        # a command that refuses its input returns the reason
+        result = args.func(args)
+        if isinstance(result, str):
+            print(f"{args.command}: {result}", file=sys.stderr)
+            return 2
+        return result
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     finally:

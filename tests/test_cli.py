@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import re
+import shlex
 import sys
 import time
 from argparse import Namespace
@@ -387,6 +388,56 @@ def test_poly_refuses_a_flag_its_kind_does_not_read(capsys):
         code, out, err = run(capsys, "poly", *argv)
         assert (code, out) == (2, "")
         assert err == f"poly: {flag} does not apply to kind {kind}\n"
+
+
+_EVAL = "eval --method oracle --p 2 --q 2 --cycle "
+
+
+@pytest.mark.parametrize("argv, line", [
+    ("eval --method stanley --cycle 25 --p 2 --q 3",
+     "eval: the stanley method is capped at cycle types of size <= 24, "
+     "got 25"),
+    ("eval --method oracle --cycle 2 --p 5000 --q 5001",
+     "eval: the oracle method is capped at p + q <= 10000, got 10001"),
+    ("eval --method closed --cycle 2,1 --p 2 --q 3",
+     "eval: the closed method handles a single cycle only"),
+    ("eval --method closed --cycle 3001 --p 2 --q 3",
+     "eval: the closed method is capped at cycles of length <= 3000, "
+     "got 3001"),
+    ("bench --k 3,3001",
+     "bench: the closed method is capped at cycles of length <= 3000, "
+     "got 3001"),
+    ("poly --kind stanley --cycle 2 --two-d 4",
+     "poly: --two-d does not apply to kind stanley"),
+    ("poly --kind stanley", "poly: --cycle is required for kind stanley"),
+    ("poly --kind stanley --cycle 25",
+     "poly: the stanley method is capped at cycle types of size <= 24, "
+     "got 25"),
+    ("poly --kind G --two-d 2 --cycle 3",
+     "poly: --cycle does not apply to kind G"),
+    ("poly --kind H", "poly: --two-d is required for kind H"),
+    ("poly --kind G --two-d 122",
+     "poly: kind G is capped at |two-d| <= 120, got 122"),
+    ("poly --kind J --two-d 2",
+     "poly: kind J needs a two-d of odd parity, got 2"),
+    (_EVAL + ",",
+     "rectchar eval: error: argument --cycle: bad cycle type: ','"),
+    (_EVAL + "''",
+     "rectchar eval: error: argument --cycle: bad cycle type: ''"),
+    (_EVAL + "3,0",
+     "rectchar eval: error: argument --cycle: bad cycle type: '3,0'"),
+    ("bench --k ,", "rectchar bench: error: argument --k: bad cycle list: ','"),
+    ("bench --k 3,0",
+     "rectchar bench: error: argument --k: bad cycle list: '3,0'"),
+])
+def test_every_refusal_prints_its_pinned_line(capsys, argv, line):
+    # a command's refusal is its one stderr line; an argument error is the
+    # last line under the usage
+    code, out, err = run(capsys, *shlex.split(argv))
+    assert (code, out) == (2, "")
+    *usage, last = err.split("\n")[:-1]
+    assert err.endswith("\n") and last == line
+    assert bool(usage) == line.startswith("rectchar ")
 
 
 def test_verify_jm_suite(capsys):
