@@ -3,6 +3,7 @@
 import ast
 import hashlib
 import inspect
+import random
 import sys
 import time
 from fractions import Fraction
@@ -174,6 +175,60 @@ def test_the_closed_routes_refuse_a_division_with_a_remainder(monkeypatch):
         corollary_poly(3, "even")
     with pytest.raises(ArithmeticError, match="non-integer character value"):
         ch_rect_fast(4, 2, 5)
+
+
+def test_corollary_poly_values_are_pinned():
+    # SHA-256 of the printed families, one a line, as corollary_poly stood
+    # when it updated each coefficient on its own
+    text = "\n".join(str(corollary_poly(two_d, parity))
+                     for two_d in [*range(-60, 61), -120, -119, 119, 120]
+                     for parity in ("odd", "even"))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "8b0e6f288d63c5504957e3a0a875b68695714f4e7448d0f6a06d7c69a70109fa")
+
+
+@pytest.mark.parametrize("bits", [3, 64, 1400])
+def test_digits_by_halving_match_the_plain_loop(monkeypatch, bits):
+    rng = random.Random(bits)
+    half = 1 << bits - 1
+    plain = rectchar.closed._PLAIN_DIGITS
+    for count in [1, 2, plain - 1, plain, plain + 1, 2 * plain,
+                  2 * plain + 1, 4 * plain + 3]:
+        for sign in (1, -1):
+            # the extreme digits -half + 1 and half included
+            digits = [rng.choice([-half + 1, half,
+                                  rng.randint(-half + 1, half)])
+                      for _ in range(count - 1)]
+            digits.append(sign * rng.randint(1, half - 1))
+            packed = sum(x << i * bits for i, x in enumerate(digits))
+            assert (packed < 0) == (sign < 0)
+            with monkeypatch.context() as patch:
+                patch.setattr("rectchar.closed._PLAIN_DIGITS", count)
+                by_loop = rectchar.closed._digits(packed, bits, count)
+            assert rectchar.closed._digits(packed, bits, count) == by_loop
+            assert by_loop == (digits, 0)
+            # one digit short leaves the top one above
+            assert rectchar.closed._digits(packed, bits, count - 1) == (
+                digits[:-1], digits[-1])
+
+
+def test_corollary_poly_refuses_a_step_remainder_and_a_row_leftover(
+        monkeypatch):
+    # with every product of odd numbers read as 1, the first step's
+    # division by 3 leaves a remainder
+    with monkeypatch.context() as patch:
+        patch.setattr("rectchar.closed.prod", lambda factors: 1)
+        with pytest.raises(ArithmeticError,
+                           match="non-integer coefficient in family step 0"):
+            corollary_poly(3, "even")
+    # a row read one digit short leaves its top coefficient above
+    digits = rectchar.closed._digits
+    monkeypatch.setattr("rectchar.closed._digits",
+                        lambda packed, bits, count:
+                        digits(packed, bits, count - 1))
+    with pytest.raises(ArithmeticError,
+                       match="row 0 of family polynomial holds more than 5"):
+        corollary_poly(4, "odd")
 
 
 def test_ch_rect_fast_examples():
