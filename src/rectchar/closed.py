@@ -42,7 +42,7 @@ into one integer at J = 2^B, with B fixed before the pass by a 1-norm bound
 so that each coefficient is one balanced digit.  A step is then one packed
 product, one exact division and one update per row, O(m) integer
 operations for m offsets in place of O(m^2), and each row is read back
-once by halving.
+once by the packed-digit reader of rectchar._poly.
 
 The module imports only the polynomial types and the exactness rule of
 rectchar.exact, nothing from the oracle or from Stanley's route, so the
@@ -54,7 +54,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial, perm, prod
 
-from ._poly import BiPoly, JNPoly
+from ._poly import BiPoly, JNPoly, _digits
 from .exact import integer, rational
 
 __all__ = [
@@ -124,35 +124,6 @@ def closed_char_ed(k_cycle: int, e, d, diff_parity: str = "even"):
         high *= (j * b - a) * (j * g + c)
         binom = binom * (k - j) // j
     return Fraction(total, factorial(k) * (b * g) ** k)
-
-
-# the fastest split: all rows of |two_d| = 120 read in 5.8 ms, 21 ms with
-# no split (2-core host, Python 3.11.7)
-_PLAIN_DIGITS = 16
-
-
-def _digits(packed: int, bits: int, count: int) -> tuple[list[int], int]:
-    """The count balanced base-2^bits digits of packed, lowest first, and
-    what is left above them.  Past _PLAIN_DIGITS digits it splits packed at
-    half its digits and carries the low half's borrow into the high half,
-    so each level of halving passes over packed once, not each digit.
-    """
-    if count > _PLAIN_DIGITS:
-        cut = count // 2
-        low, carry = _digits(packed & ((1 << cut * bits) - 1), bits, cut)
-        high, rest = _digits((packed >> cut * bits) + carry, bits, count - cut)
-        return low + high, rest
-    base = 1 << bits
-    half, mask = base >> 1, base - 1
-    out = []
-    for _ in range(count):
-        digit = packed & mask
-        packed >>= bits
-        if digit > half:  # negative: borrow 1 from the next digit
-            digit -= base
-            packed += 1
-        out.append(digit)
-    return out, packed
 
 
 def corollary_poly(two_d: int, cycle_parity: str) -> JNPoly:

@@ -32,8 +32,9 @@ the table keeps (below), so the sum visits one shape of each conjugate
 pair, at twice its weight.  f^lam comes from a hook-length formula on the
 same beta-sets, and each content product is one integer, a falling
 factorial per row taken at x = 2^B and read back as base-2^B digits
-(Kronecker substitution); both are cached per shape for the life of the
-process, so every type of the same size shares them.  No step costs k!.
+(Kronecker substitution) by rectchar._poly's packed-digit reader; both
+are cached per shape for the life of the process, so every type of the
+same size shares them.  No step costs k!.
 
 Most entries of the table are 0, and two bounds say which in advance.
 With |s| = k - cycles(s) the Cayley length, the triangle inequality
@@ -66,7 +67,7 @@ from functools import lru_cache
 from math import comb, factorial, perm, prod
 from operator import mul
 
-from ._poly import BiPoly, DEPoly, _collect
+from ._poly import BiPoly, DEPoly, _collect, _digits
 from .exact import integer, rational
 from .young import Partition
 
@@ -127,7 +128,7 @@ def _content_coeffs(k: int, rows: list[int]) -> tuple[int, ...]:
     factorial perm(x + r_i - 1 - i, r_i).  The product is taken as one
     integer at x = X = 2^B (Kronecker substitution): a coefficient is at
     most prod (1 + |content|) <= k^k in size, so with B = k bitlen(k) + 1
-    each is one balanced base-X digit.
+    each is one balanced base-X digit, read back by _poly._digits.
     """
     bits = k * k.bit_length() + 1
     base = 1 << bits
@@ -136,17 +137,8 @@ def _content_coeffs(k: int, rows: list[int]) -> tuple[int, ...]:
         if not row:
             break
         packed *= perm(base + row - 1 - i, row)
-    # a digit above base / 2 is negative and borrows 1 from the next
-    half, low = base >> 1, base - 1
-    coeffs = []
-    for _ in range(k + 1):
-        digit = packed & low
-        packed >>= bits
-        if digit > half:
-            digit -= base
-            packed += 1
-        coeffs.append(digit)
-    if packed:
+    coeffs, rest = _digits(packed, bits, k + 1)
+    if rest:
         raise ArithmeticError(f"rows {rows} hold more than {k} boxes")
     return tuple(coeffs)
 

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from polyfixtures import CYCLE_PARITY, EXPECTED
+import rectchar._poly
 import rectchar.closed
 from rectchar.cli import CLOSED_CAP, TYPE_CAP
 from rectchar.closed import (
@@ -187,13 +188,17 @@ def test_corollary_poly_values_are_pinned():
         "8b0e6f288d63c5504957e3a0a875b68695714f4e7448d0f6a06d7c69a70109fa")
 
 
-@pytest.mark.parametrize("bits", [3, 64, 1400])
+@pytest.mark.parametrize("bits", [3, 64, 81, 121, 1400, 9000])
 def test_digits_by_halving_match_the_plain_loop(monkeypatch, bits):
+    # 81 and 121 are Stanley's digits at k = 16 and 24, 1400 about the
+    # families' at |two_d| = 120; a 9000-bit digit is wider than the bound
     rng = random.Random(bits)
     half = 1 << bits - 1
-    plain = rectchar.closed._PLAIN_DIGITS
-    for count in [1, 2, plain - 1, plain, plain + 1, 2 * plain,
-                  2 * plain + 1, 4 * plain + 3]:
+    digits_of = rectchar._poly._digits
+    # the most digits the plain loop reads, then one more
+    plain = rectchar._poly._PLAIN_BITS // bits
+    for count in sorted({1, 2, plain - 1, plain, plain + 1, 2 * plain,
+                         2 * plain + 1, 4 * plain + 3} - {-1, 0}):
         for sign in (1, -1):
             # the extreme digits -half + 1 and half included
             digits = [rng.choice([-half + 1, half,
@@ -203,12 +208,12 @@ def test_digits_by_halving_match_the_plain_loop(monkeypatch, bits):
             packed = sum(x << i * bits for i, x in enumerate(digits))
             assert (packed < 0) == (sign < 0)
             with monkeypatch.context() as patch:
-                patch.setattr("rectchar.closed._PLAIN_DIGITS", count)
-                by_loop = rectchar.closed._digits(packed, bits, count)
-            assert rectchar.closed._digits(packed, bits, count) == by_loop
+                patch.setattr("rectchar._poly._PLAIN_BITS", count * bits)
+                by_loop = digits_of(packed, bits, count)
+            assert digits_of(packed, bits, count) == by_loop
             assert by_loop == (digits, 0)
             # one digit short leaves the top one above
-            assert rectchar.closed._digits(packed, bits, count - 1) == (
+            assert digits_of(packed, bits, count - 1) == (
                 digits[:-1], digits[-1])
 
 
