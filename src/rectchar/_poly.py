@@ -38,24 +38,9 @@ def _collect(items) -> dict:
     return {key: c for key, c in acc.items() if c}
 
 
-# against a split past 16 digits, the rows of all families up to |two_d| =
-# 120 read in 0.97x the time (|two_d| = 30 in 1.09x), and Stanley's content
-# products up to the type cap (3025 bits), which a split slows by 8-11%,
-# stay on the plain loop (2-core host, Python 3.11.7)
-_PLAIN_BITS = 8192
-
-
 def _digits(packed: int, bits: int, count: int) -> tuple[list[int], int]:
     """The count balanced base-2^bits digits of packed, lowest first, and
-    what is left above them.  Past _PLAIN_BITS bits of digits it splits
-    packed at half of them and carries the low half's borrow into the high
-    half, so each level of halving passes over packed once, not each digit.
-    """
-    if count * bits > _PLAIN_BITS and count > 1:
-        cut = count // 2
-        low, carry = _digits(packed & ((1 << cut * bits) - 1), bits, cut)
-        high, rest = _digits((packed >> cut * bits) + carry, bits, count - cut)
-        return low + high, rest
+    what is left above them."""
     base = 1 << bits
     half, mask = base >> 1, base - 1
     out = []

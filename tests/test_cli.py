@@ -194,6 +194,16 @@ def test_eval_parses_sides_past_4300_digits(capsys):
     assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
 
+def test_main_runs_on_a_python_without_the_digit_limit(capsys, monkeypatch):
+    # Python 3.10 before 3.10.7 has neither call; main stands in for both
+    monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
+    monkeypatch.delattr(sys, "set_int_max_str_digits", raising=False)
+    code, out, err = run(capsys, "eval", "--method", "closed", "--cycle", "3",
+                         "--p", "2", "--q", "2")
+    assert code == 0 and err == ""
+    assert table_fields(out)["value"] == "-12"
+
+
 def test_eval_cap_violations(capsys):
     past = ",".join(["2"] * (TYPE_CAP // 2) + ["1"])
     for method in ("oracle", "stanley"):

@@ -189,16 +189,14 @@ def test_corollary_poly_values_are_pinned():
 
 
 @pytest.mark.parametrize("bits", [3, 64, 81, 121, 1400, 9000])
-def test_digits_by_halving_match_the_plain_loop(monkeypatch, bits):
+def test_digits_read_back_exactly_and_one_digit_short(bits):
     # 81 and 121 are Stanley's digits at k = 16 and 24, 1400 about the
-    # families' at |two_d| = 120; a 9000-bit digit is wider than the bound
+    # families' at |two_d| = 120, 121 digits their most; 9000 bits is wider
+    # than any digit either packs
     rng = random.Random(bits)
     half = 1 << bits - 1
     digits_of = rectchar._poly._digits
-    # the most digits the plain loop reads, then one more
-    plain = rectchar._poly._PLAIN_BITS // bits
-    for count in sorted({1, 2, plain - 1, plain, plain + 1, 2 * plain,
-                         2 * plain + 1, 4 * plain + 3} - {-1, 0}):
+    for count in (1, 2, 15, 16, 17, 33, 67, 121):
         for sign in (1, -1):
             # the extreme digits -half + 1 and half included
             digits = [rng.choice([-half + 1, half,
@@ -207,11 +205,7 @@ def test_digits_by_halving_match_the_plain_loop(monkeypatch, bits):
             digits.append(sign * rng.randint(1, half - 1))
             packed = sum(x << i * bits for i, x in enumerate(digits))
             assert (packed < 0) == (sign < 0)
-            with monkeypatch.context() as patch:
-                patch.setattr("rectchar._poly._PLAIN_BITS", count * bits)
-                by_loop = digits_of(packed, bits, count)
-            assert digits_of(packed, bits, count) == by_loop
-            assert by_loop == (digits, 0)
+            assert digits_of(packed, bits, count) == (digits, 0)
             # one digit short leaves the top one above
             assert digits_of(packed, bits, count - 1) == (
                 digits[:-1], digits[-1])

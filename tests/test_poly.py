@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from rectchar._poly import BiPoly, DEPoly, JNPoly
+from rectchar._poly import BiPoly, DEPoly, JNPoly, _digits
 
 coefficients = st.one_of(
     st.integers(-6, 6),
@@ -155,3 +155,24 @@ def test_a_polynomial_never_equals_a_bool():
             assert poly.__eq__(flag) is NotImplemented
             assert poly != flag and flag != poly
     assert BiPoly.constant(1) == 1 and BiPoly.zero() == 0
+
+
+@given(st.data())
+def test_digits_read_back_what_was_packed(data):
+    # widths and counts that span Stanley's digits (up to 121 bits at k = 24)
+    # and the families' (121 digits of 1386 bits at |two_d| = 120)
+    bits = data.draw(st.integers(1, 2048), label="bits")
+    count = data.draw(st.integers(1, 130), label="count")
+    half = 1 << bits - 1
+    # balanced digits run from -half + 1 to half, both ends drawn often
+    digit = st.one_of(st.sampled_from((-half + 1, half)),
+                      st.integers(-half + 1, half))
+    digits = data.draw(st.lists(digit, min_size=count, max_size=count),
+                       label="digits")
+    packed = sum(x << i * bits for i, x in enumerate(digits))
+    if digits[-1]:
+        # a nonzero top digit, of either sign, gives packed its sign
+        assert (packed < 0) == (digits[-1] < 0)
+    assert _digits(packed, bits, count) == (digits, 0)
+    # one digit short leaves the top one above
+    assert _digits(packed, bits, count - 1) == (digits[:-1], digits[-1])
