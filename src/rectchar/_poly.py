@@ -22,10 +22,9 @@ coefficient one balanced base-2^B digit (Kronecker substitution).
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
-from fractions import Fraction
 from itertools import chain
 
-from .exact import integer, rational
+from .exact import integer, is_fraction, rational
 
 __all__ = ["BiPoly", "DEPoly", "JNPoly"]
 
@@ -52,6 +51,13 @@ def _digits(packed: int, bits: int, count: int) -> tuple[list[int], int]:
             packed += 1
         out.append(digit)
     return out, packed
+
+
+def _is_number(value) -> bool:
+    # an int or a Fraction; a bool is not a number under the input rule
+    if isinstance(value, int):
+        return type(value) is not bool
+    return is_fraction(value)
 
 
 def _checked(key, c):
@@ -122,7 +128,7 @@ class _Poly2:
                 raise TypeError(
                     f"cannot mix {type(self).__name__} with {type(other).__name__}")
             return other
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int) or is_fraction(other):
             return type(self).constant(other)
         return None
 
@@ -145,7 +151,7 @@ class _Poly2:
         return self + (-rhs)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
+        if _is_number(other):
             # a number scales each coefficient; 0 gives the zero polynomial
             return type(self)._of({key: c * other
                                    for key, c in self._terms.items()}
@@ -165,8 +171,7 @@ class _Poly2:
     def __eq__(self, other: object) -> bool:
         if isinstance(other, _Poly2):
             return type(self) is type(other) and self._terms == other._terms
-        # a bool is not a number under the input rule
-        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
+        if _is_number(other):
             if other == 0:
                 return not self._terms
             return self._terms == {(0, 0): other}

@@ -49,8 +49,6 @@ usage errors including cap violations.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import sys
 import time
 
@@ -154,7 +152,9 @@ def _cmd_eval(args) -> int | str:
     value = _ROUTES[args.method](pi, p, q)
     elapsed = time.perf_counter_ns() - start
     text = str(value)
+    # json and csv load only for the formats that print them
     if args.format == "json":
+        import json
         print(json.dumps({
             "inputs": {"cycle": list(pi.parts), "p": p, "q": q, "n": n},
             "method": args.method,
@@ -162,6 +162,7 @@ def _cmd_eval(args) -> int | str:
             "elapsed_ns": elapsed,
         }))
     elif args.format == "csv":
+        import csv
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["method", "cycle", "p", "q", "elapsed_ns", "value"])
         writer.writerow([args.method, ",".join(str(x) for x in pi.parts),
@@ -422,6 +423,7 @@ def _cmd_bench(args) -> int | str:
             print(f"bench: methods disagree at k={k}: {detail}",
                   file=sys.stderr)
             return 1
+    import csv
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["method", "k", "p", "q", "elapsed_ns", "value"])
     writer.writerows(rows)

@@ -51,11 +51,10 @@ three routes stay independent in code and can check one another.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb, factorial, perm, prod
 
 from ._poly import BiPoly, JNPoly, _digits
-from .exact import integer, rational
+from .exact import fraction, integer, rational
 
 __all__ = [
     "coeff_f",
@@ -68,7 +67,7 @@ __all__ = [
 ]
 
 
-def coeff_f(j: int, k: int) -> Fraction:
+def coeff_f(j: int, k: int) -> "Fraction":
     """Interior coefficient for the odd-cycle families G and H.
 
     >>> coeff_f(2, 1)
@@ -82,7 +81,7 @@ def coeff_f(j: int, k: int) -> Fraction:
         raise ValueError("j and k must be non-negative")
     num = perm(j, k) * prod(range(2 * j - 1, 2 * j - 1 + 2 * k, 2))
     den = factorial(k) * prod(range(1, 2 * k, 2))
-    return Fraction(-num if k % 2 else num, den)
+    return fraction(-num if k % 2 else num, den)
 
 
 def closed_char_ed(k_cycle: int, e, d, diff_parity: str = "even"):
@@ -99,6 +98,7 @@ def closed_char_ed(k_cycle: int, e, d, diff_parity: str = "even"):
     included, raises TypeError (rectchar.exact.rational).  diff_parity
     must be "even" or "odd" and changes nothing.
 
+    >>> from fractions import Fraction
     >>> closed_char_ed(3, Fraction(2), Fraction(0))
     Fraction(-12, 1)
     >>> closed_char_ed(2, Fraction(5, 2), Fraction(1, 2), "odd")
@@ -123,7 +123,7 @@ def closed_char_ed(k_cycle: int, e, d, diff_parity: str = "even"):
         total += below * high * binom
         high *= (j * b - a) * (j * g + c)
         binom = binom * (k - j) // j
-    return Fraction(total, factorial(k) * (b * g) ** k)
+    return fraction(total, factorial(k) * (b * g) ** k)
 
 
 def corollary_poly(two_d: int, cycle_parity: str) -> JNPoly:
@@ -303,7 +303,7 @@ def minus_one_col_char(k: int, p):
     return row if k % 2 else -row
 
 
-def integrality_witness(d: int, k: int) -> Fraction:
+def integrality_witness(d: int, k: int) -> "Fraction":
     """The ratio whose integrality underlies the family coefficients.
 
     Equals 2 d times the product of d + r over -k < r < k, divided by
@@ -319,4 +319,4 @@ def integrality_witness(d: int, k: int) -> Fraction:
         raise ValueError("k must be non-negative")
     for r in range(-k + 1, k):
         num *= d + r
-    return Fraction(num, factorial(2 * k))
+    return fraction(num, factorial(2 * k))

@@ -62,13 +62,12 @@ in the integer group ring, on the inverse image words of S_k as bytes.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, perm, prod
 from operator import mul
 
 from ._poly import BiPoly, DEPoly, _collect, _digits
-from .exact import integer, rational
+from .exact import fraction, integer, rational
 from .young import Partition
 
 __all__ = [
@@ -283,7 +282,7 @@ def stanley_eval(pi, p, q):
         rational("p", p)
         rational("q", q)
         # an int subclass other than bool is an int side
-        int_sides = not isinstance(p, Fraction) and not isinstance(q, Fraction)
+        int_sides = isinstance(p, int) and isinstance(q, int)
     k, m, table = _plan(parts)
     # With p = a/b and -q = c/d, (b d)^k times the core's value is an
     # integer: one homogeneous Horner pass over the packed rows, in c1 with
@@ -326,7 +325,7 @@ def stanley_eval(pi, p, q):
     if m:
         x = -a * c - k * bd
         total *= prod(range(x, x - m * bd, -bd))
-    return Fraction(total, bd ** (k + m))
+    return fraction(total, bd ** (k + m))
 
 
 def stanley_poly(pi) -> BiPoly:

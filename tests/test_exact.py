@@ -1,6 +1,9 @@
 """Tests for the exactness rule and the Catalan numbers."""
 
 import ast
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -217,3 +220,84 @@ def test_no_floats_in_the_source():
     "x = complex(a)", "x = round(a)"])
 def test_no_floats_check_sees_each_kind(source):
     assert any(_inexact(node) for node in ast.walk(ast.parse(source)))
+
+
+def _imported_modules(tree):
+    # the top-level names of the modules a syntax tree imports
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            yield node.module.split(".")[0]
+
+
+def test_only_exact_imports_fractions():
+    # exact owns the Fraction type: every other module asks it whether a
+    # value is a Fraction and has it build one
+    importers = [path.name
+                 for path in sorted(Path(rectchar.__file__).parent.glob("*.py"))
+                 if "fractions" in _imported_modules(ast.parse(path.read_text()))]
+    assert importers == ["exact.py"]
+
+
+@pytest.mark.parametrize("source, imports", [
+    ("import fractions", True), ("from fractions import Fraction", True),
+    ("import fractions as f", True), ("import decimal", False),
+    ("from .exact import fraction", False)])
+def test_import_check_sees_each_form(source, imports):
+    assert ("fractions" in _imported_modules(ast.parse(source))) is imports
+
+
+# Run in a fresh interpreter, since pytest and hypothesis load fractions.
+_FRESH_PROCESS = """
+import contextlib, io, sys
+
+def loaded(*names):
+    return sorted(set(names) & set(sys.modules))
+
+RATIONAL = ("fractions", "decimal", "numbers")
+import rectchar
+assert not loaded(*RATIONAL), ("import rectchar", loaded(*RATIONAL))
+from rectchar.cli import main
+assert not loaded(*RATIONAL, "json", "csv"), (
+    "import rectchar.cli", loaded(*RATIONAL, "json", "csv"))
+with contextlib.redirect_stdout(io.StringIO()):
+    for method in ("closed", "oracle", "stanley"):
+        argv = ["eval", "--method", method, "--cycle", "3", "--p", "4",
+                "--q", "5"]
+        assert main(argv) == 0, argv
+        assert not loaded(*RATIONAL), (argv, loaded(*RATIONAL))
+    for argv in (["poly", "--kind", "stanley", "--cycle", "3,2,1"],
+                 ["poly", "--kind", "G", "--two-d", "4"]):
+        assert main(argv) == 0, argv
+        assert not loaded(*RATIONAL), (argv, loaded(*RATIONAL))
+
+from rectchar.exact import rational
+for value, kind in ((0.5, "float"), (True, "bool"), ("2", "str")):
+    try:
+        rational("p", value)
+    except TypeError as exc:
+        assert str(exc) == f"p must be an int or a Fraction, got {kind}", exc
+    else:
+        raise AssertionError(f"rational accepted {value!r}")
+assert not loaded(*RATIONAL), ("rational", loaded(*RATIONAL))
+
+import fractions
+half = fractions.Fraction(1, 2)
+assert rational("p", half) is half
+results = [rectchar.closed_char_ed(3, fractions.Fraction(5, 2), half),
+           rectchar.coeff_f(2, 1),
+           rectchar.integrality_witness(5, 3),
+           rectchar.stanley_eval((2, 1), half, 3)]
+assert all(type(x) is fractions.Fraction for x in results), results
+assert results == [fractions.Fraction(-24), fractions.Fraction(-6),
+                   fractions.Fraction(35), fractions.Fraction(-15, 8)], results
+"""
+
+
+def test_fractions_load_only_for_a_rational_value():
+    src = str(Path(rectchar.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", _FRESH_PROCESS], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
